@@ -164,8 +164,8 @@ def cmd_fit(args) -> int:
         written.append(path)
         extra["delta"] = fit.delta
     elif args.method == "smooth":
-        scalar = smooth_reconstruct(grid if grid is not None else domain,
-                                    vmap, order=args.order, sweeps=args.sweeps)
+        scalar = smooth_reconstruct(domain, vmap, order=args.order,
+                                    sweeps=args.sweeps)
     elif args.method == "harmonic":
         fit = fit_gvf(domain, vmap, delta=delta)
         scalar, report = harmonic_relax(to_scalar(fit.field), vmap,

@@ -26,10 +26,13 @@ class Domain:
     Adjacency is stored compressed and sorted per vertex.  Symmetry,
     neighbor dedup and loop-freedom are enforced at construction, so the
     rest of the package can rely on them.  Instances never mutate after
-    ``__init__``; all exposed arrays are read-only views.
+    construction; all exposed arrays are read-only views.  ``_grid`` is the
+    :class:`GridSpec` of a domain made by :func:`build_grid` and ``None`` on
+    every other domain; it lets grid-only code use the raster layout.
     """
 
-    __slots__ = ("vertex_count", "coords", "_offsets", "_dir_src", "_dir_dst")
+    __slots__ = ("vertex_count", "coords", "_offsets", "_dir_src", "_dir_dst",
+                 "_grid")
 
     def __init__(self, vertex_count: int, edges=(), coords=None):
         if vertex_count < 1:
@@ -49,13 +52,20 @@ class Domain:
             v = int(e[e[:, 0] == e[:, 1]][0, 0])
             raise ValueError(f"self-loop at vertex {v} is not allowed")
 
-        # Symmetrize, dedup, and sort by (source, target).
-        both = np.vstack([e, e[:, ::-1]])
-        both = np.unique(both, axis=0)
-        counts = np.bincount(both[:, 0], minlength=self.vertex_count)
+        # Symmetrize, dedup, and sort by (source, target) on the 1-d key
+        # source * n + target, which orders the same way and sorts far faster
+        # than rows.  A plain sort, not np.unique: numpy 2 dedups integers in
+        # a hash table first, which is slower here and fragments the heap.
+        n = self.vertex_count
+        src, dst = e[:, 0], e[:, 1]
+        key = np.concatenate([src * n + dst, dst * n + src])
+        key.sort()
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        self._dir_src, self._dir_dst = np.divmod(key[first], n)
+        counts = np.bincount(self._dir_src, minlength=n)
         self._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._dir_src = np.ascontiguousarray(both[:, 0])
-        self._dir_dst = np.ascontiguousarray(both[:, 1])
+        self._grid = None
 
         if coords is None:
             self.coords = None
@@ -160,7 +170,11 @@ class DistanceField:
 
 
 def build_grid(spec: GridSpec) -> Domain:
-    """Materialize a grid domain with row-major ids and embedded coords."""
+    """Materialize a grid domain with row-major ids and embedded coords.
+
+    The domain records ``spec``, so pair distances on it take the closed
+    form (Manhattan for four-, Chebyshev for eight-connectivity).
+    """
     w, h = spec.width, spec.height
     idx = np.arange(w * h, dtype=np.int64).reshape(h, w)
     parts = [
@@ -172,7 +186,9 @@ def build_grid(spec: GridSpec) -> Domain:
         parts.append(np.stack([idx[:-1, 1:].ravel(), idx[1:, :-1].ravel()], axis=1))
     edges = np.vstack([p for p in parts if p.size]) if any(p.size for p in parts) \
         else np.empty((0, 2), dtype=np.int64)
-    return Domain(w * h, edges, coords=spec.coords_array())
+    domain = Domain(w * h, edges, coords=spec.coords_array())
+    domain._grid = spec
+    return domain
 
 
 def build_graph(edges: Iterable[tuple[int, int]], vertex_count: int,

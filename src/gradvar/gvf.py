@@ -180,7 +180,18 @@ class InfeasibleError(ValueError):
 
 
 def _pair_distances(domain: Domain, vertices: np.ndarray) -> np.ndarray:
-    """Hop distances between the listed vertices, UNREACHABLE off-component."""
+    """Hop distances between the listed vertices, UNREACHABLE off-component.
+
+    On a :func:`build_grid` domain the hop metric has a closed form on
+    (row, col): Manhattan distance for four-connectivity, Chebyshev for
+    eight, in O(k^2) with no sweep.  Other domains run one BFS per vertex.
+    """
+    grid = domain._grid
+    if grid is not None:
+        rows, cols = np.divmod(vertices, grid.width)
+        dr = np.abs(rows[:, None] - rows[None, :])
+        dc = np.abs(cols[:, None] - cols[None, :])
+        return dr + dc if grid.connectivity == "four" else np.maximum(dr, dc)
     k = len(vertices)
     out = np.zeros((k, k), dtype=np.int64)
     for row, v in enumerate(vertices):
@@ -196,6 +207,8 @@ def lipschitz_delta(domain: Domain, samples: Mapping[int, float],
     with any delta >= this value yields indices whose gaps never exceed
     the hop distance.  All-equal values would give 0, which is replaced
     by ``zero_range_floor * max(1, |value|)`` so one level suffices.
+    Hop distances come from the closed-form grid metric on
+    :func:`build_grid` domains and from BFS elsewhere.
     """
     verts = np.array(sorted(samples), dtype=np.int64)
     if verts.size == 0:
@@ -223,16 +236,25 @@ def lipschitz_delta(domain: Domain, samples: Mapping[int, float],
     return star
 
 
+# Relative width of the band around a half level that quantize treats as the
+# tie itself: a few ulps, above the rounding error of (v - base) / delta.
+_TIE_REL = 8 * np.finfo(np.float64).eps
+
+
 def quantize(domain: Domain, samples: Mapping[int, float],
              delta: float) -> tuple[LevelTable, GuidingSet]:
     """Snap raw sample values onto a uniform level table.
 
     base is the minimum sample value and n = floor((max - min) / delta) + 1.
     Each sample maps to the nearest of those n levels, ties resolved
-    toward the lower index.  Note the top level sits below the maximum
-    sample whenever (max - min) / delta is fractional, so quantization
-    error is < delta there and <= delta/2 everywhere else.  Raw values
-    are preserved in the returned guiding set.
+    toward the lower index.  A value within a few ulps of a half level
+    counts as a tie, so float error in (v - base) / delta cannot split two
+    samples whose gap is a whole number of levels (as the lipschitz_delta
+    spacing makes it for the steepest pair) by one level too many.  Note
+    the top level sits below the maximum sample whenever (max - min) /
+    delta is fractional, so quantization error is < delta there and
+    <= delta/2 everywhere else.  Raw values are preserved in the returned
+    guiding set.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -247,8 +269,9 @@ def quantize(domain: Domain, samples: Mapping[int, float],
     base = float(vals.min())
     count = max(1, int(np.floor((float(vals.max()) - base) / delta)) + 1)
     t = (vals - base) / delta
-    # Nearest level with exact halves rounding down: k = ceil(t - 1/2).
-    k = np.ceil(t - 0.5).astype(np.int64)
+    # Nearest level with halves rounding down: k = ceil(t - 1/2), where a t
+    # within float error of a half level counts as that half.
+    k = np.ceil(t - 0.5 - _TIE_REL * np.maximum(t, 1.0)).astype(np.int64)
     k = np.clip(k, 0, count - 1)
     table = LevelTable(base=base, delta=float(delta), count=count)
     guiding = GuidingSet(vertices=verts, indices=k + 1, raw_values=vals)
@@ -260,7 +283,9 @@ def check_feasibility(domain: Domain, guiding: GuidingSet) -> FeasibilityCheck:
 
     Feasible iff d(x, y) >= |i - j| for every guiding pair.  On failure
     the witness is a pair with maximal violation |i - j| - d; guiding
-    vertices in different components yield an UNREACHABLE witness.
+    vertices in different components yield an UNREACHABLE witness.  On
+    :func:`build_grid` domains d is the closed-form grid metric, elsewhere
+    one BFS per guiding vertex.
     """
     verts = guiding.vertices
     if (verts >= domain.vertex_count).any():

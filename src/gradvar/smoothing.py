@@ -187,7 +187,8 @@ def smooth_reconstruct(dom, samples: Mapping[int, float], order: int = 1,
     so very large sweep counts can roughen a later round instead of
     smoothing it.
 
-    ``dom`` is a GridSpec, or a Domain for order=0 only (derivative
+    ``dom`` is a GridSpec or a :func:`build_grid` Domain (whose recorded
+    grid is used), or any other Domain for order=0 only (derivative
     stencils need grid structure).
     """
     if order not in (0, 1, 2):
@@ -198,9 +199,9 @@ def smooth_reconstruct(dom, samples: Mapping[int, float], order: int = 1,
         grid = dom
         domain = build_grid(grid)
     elif isinstance(dom, Domain):
-        grid = None
+        grid = dom._grid
         domain = dom
-        if order >= 1:
+        if order >= 1 and grid is None:
             raise ValueError("orders >= 1 need a grid domain for derivatives")
     else:
         raise TypeError("dom must be a GridSpec or Domain")

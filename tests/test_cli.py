@@ -35,6 +35,16 @@ class TestCheck:
         assert out.startswith("infeasible:")
         assert "0" in out and "15" in out
 
+    def test_auto_delta_half_level_tie_is_feasible(self, tmp_path, capsys):
+        # (0.1 + 0.2) / 0.2 rounds above 1.5 in floats while 0.1 / 0.2 is
+        # exactly 0.5; vertices 14 and 25 are one hop apart.
+        samples = tmp_path / "tie.csv"
+        samples.write_text("vertex,value\n14,0.1\n27,-0.2\n19,0.5\n25,-0.1\n")
+        rc = main(["check", "--grid", "11x3", "--samples", str(samples)])
+        assert rc == 0
+        assert capsys.readouterr().out == \
+            "feasible: 4 guiding points, 4 levels, delta 0.2\n"
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         rc = main(["check", "--grid", "4x4",
                    "--samples", str(tmp_path / "nope.csv")])
@@ -108,6 +118,23 @@ class TestFit:
         assert rc == 0
         csv = read_field_csv(out / "field.csv")
         assert csv.indices is None and len(csv.values) == 16
+
+    def test_smooth_builds_the_grid_once(self, corner_samples, tmp_path,
+                                         monkeypatch):
+        import gradvar.cli
+        import gradvar.smoothing
+        calls = []
+
+        def counting(spec, build=gradvar.cli.build_grid):
+            calls.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(gradvar.cli, "build_grid", counting)
+        monkeypatch.setattr(gradvar.smoothing, "build_grid", counting)
+        rc = main(grid_args(corner_samples, tmp_path / "out", "--method",
+                            "smooth", "--order", "2"))
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_infeasible_delta_exit_two(self, corner_samples, tmp_path,
                                        capsys):

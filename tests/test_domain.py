@@ -53,6 +53,68 @@ class TestDomain:
             Domain(3, [(0, 1)], coords=[[0.0, 0.0]])
 
 
+def expected_layout(n, edges):
+    """Offsets, sources and targets from a plain sorted set of both orientations."""
+    pairs = sorted({(a, b) for a, b in edges} | {(b, a) for a, b in edges})
+    offsets = [0] * (n + 1)
+    for a, _ in pairs:
+        offsets[a + 1] += 1
+    for v in range(n):
+        offsets[v + 1] += offsets[v]
+    return offsets, [a for a, _ in pairs], [b for _, b in pairs]
+
+
+@st.composite
+def edge_lists(draw):
+    """Random simple-graph edges listed with duplicates and reversals."""
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        return n, []
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    edges = draw(st.lists(pairs, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    return n, edges + [(b, a) for a, b in repeats] + repeats
+
+
+class TestDomainLayout:
+    @given(edge_lists())
+    def test_matches_sorted_set_of_both_orientations(self, case):
+        n, edges = case
+        d = Domain(n, edges)
+        offsets, src, dst = expected_layout(n, edges)
+        assert d._offsets.tolist() == offsets
+        assert d._dir_src.tolist() == src
+        assert d._dir_dst.tolist() == dst
+        for arr in (d._offsets, d._dir_src, d._dir_dst):
+            assert arr.dtype == np.int64
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_duplicates_reversals_and_isolated_vertices(self):
+        d = Domain(6, [(3, 1), (1, 3), (1, 3), (0, 1), (4, 1)])
+        assert d._offsets.tolist() == [0, 1, 4, 4, 5, 6, 6]
+        assert d._dir_src.tolist() == [0, 1, 1, 1, 3, 4]
+        assert d._dir_dst.tolist() == [1, 0, 3, 4, 1, 1]
+        assert d.degree(2) == 0 and d.degree(5) == 0
+
+    @pytest.mark.parametrize("edges", [(), [], np.empty((0, 2), dtype=np.int64)])
+    def test_empty_edge_list(self, edges):
+        d = Domain(3, edges)
+        assert d._offsets.tolist() == [0, 0, 0, 0]
+        assert d._dir_src.size == 0 and d._dir_dst.size == 0
+        assert list(d.edges()) == []
+
+    def test_only_build_grid_records_its_grid(self, tmp_path):
+        g = GridSpec(3, 2, connectivity="eight")
+        assert build_grid(g)._grid == g
+        mesh = tmp_path / "m.obj"
+        mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        for d in (Domain(3, [(0, 1)]), build_graph([(0, 1)], 2), load_mesh(mesh),
+                  subdomain(build_grid(g), [0, 1, 3])[0]):
+            assert d._grid is None
+
+
 class TestGridSpec:
     def test_vertex_layout_row_major(self):
         g = GridSpec(4, 3)

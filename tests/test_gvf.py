@@ -7,7 +7,9 @@ from gradvar import (UNREACHABLE, GridSpec, GuidingSet, InfeasibleError,
                      build_grid, check_feasibility, envelopes, fit_gvf,
                      gvf_extend, lipschitz_delta, quantize, to_scalar)
 
-from checks import gradual_variation_ok
+from gradvar.gvf import _pair_distances
+
+from checks import gradual_variation_ok, python_bfs
 
 
 def path_domain(n):
@@ -133,6 +135,37 @@ class TestQuantize:
         # the table may stop short of the max sample, but never by delta
         levels = t.base + (g.indices - 1) * t.delta
         assert (np.abs(levels - g.raw_values) < delta * (1 + 1e-9)).all()
+
+
+class TestAutoDeltaTies:
+    """Samples whose gap is a whole number of levels must not split apart.
+
+    In floats (0.1 + 0.2) / 0.2 is 1.5000000000000002 while 0.1 / 0.2 is
+    0.5, so plain rounding put vertices 14 and 25 (one hop apart) two
+    levels apart at the auto spacing.
+    """
+
+    def test_half_level_pair_stays_one_level_apart(self):
+        d = build_grid(GridSpec(11, 3))
+        fit = fit_gvf(d, {14: 0.1, 27: -0.2, 19: 0.5, 25: -0.1})
+        assert fit.delta == 0.2
+        assert fit.guiding.vertices.tolist() == [14, 19, 25, 27]
+        assert fit.guiding.indices.tolist() == [2, 4, 1, 1]
+        assert gradual_variation_ok(d.adjacency_lists(), fit.field.idx)
+
+    @pytest.mark.parametrize("grid,samples", [
+        (GridSpec(1, 4, "eight"), {0: 2 / 5, 2: -1 / 5, 3: -2 / 5, 1: 1 / 5}),
+        (GridSpec(3, 2), {0: -0.2, 4: -0.1, 2: 0.5, 3: -0.4, 1: 0.2}),
+        (GridSpec(1, 5), {3: -1 / 5, 2: 0 / 5, 4: -1 / 5, 1: 2 / 5, 0: 3 / 5}),
+        (GridSpec(4, 5), {14: 0.0, 11: 0.1, 10: 0.2, 16: 0.5, 1: -0.1}),
+    ])
+    def test_decimal_samples_fit_at_auto_delta(self, grid, samples):
+        d = build_grid(grid)
+        delta = lipschitz_delta(d, samples)
+        table, gd = quantize(d, samples, delta)
+        assert check_feasibility(d, gd).feasible
+        fit = fit_gvf(d, samples)
+        assert (fit.field.idx[gd.vertices] == gd.indices).all()
 
 
 class TestCheckFeasibility:
@@ -373,3 +406,53 @@ class TestProperties:
         pairwise = check_feasibility(d, gd).feasible
         env = envelopes(d, gd, table.count)
         assert env.feasible == pairwise
+
+
+def plain_copy(domain):
+    """The same graph built from its edge list, which records no grid."""
+    src, dst = domain.edge_pairs()
+    return build_graph(np.stack([src, dst], axis=1), domain.vertex_count,
+                       coords=domain.coords)
+
+
+class TestGridMetric:
+    """The closed-form grid metric against BFS on the same adjacency."""
+
+    @staticmethod
+    def bfs_matrix(domain, verts):
+        adj = domain.adjacency_lists()
+        return [[python_bfs(adj, [a])[b] for b in verts] for a in verts]
+
+    @pytest.mark.parametrize("w,h", [(1, 1), (1, 9), (9, 1), (2, 2)])
+    @pytest.mark.parametrize("conn", ["four", "eight"])
+    def test_thin_and_tiny_grids(self, w, h, conn):
+        d = build_grid(GridSpec(w, h, connectivity=conn))
+        verts = np.arange(w * h, dtype=np.int64)
+        assert _pair_distances(d, verts).tolist() == self.bfs_matrix(d, verts)
+
+    @given(st.integers(1, 14), st.integers(1, 14),
+           st.sampled_from(["four", "eight"]), st.data())
+    @settings(max_examples=80)
+    def test_matches_python_bfs(self, w, h, conn, data):
+        d = build_grid(GridSpec(w, h, connectivity=conn))
+        verts = data.draw(st.lists(st.integers(0, w * h - 1), min_size=1,
+                                   max_size=10, unique=True))
+        got = _pair_distances(d, np.array(verts, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == self.bfs_matrix(d, verts)
+
+    @given(feasible_instance(), st.floats(0.1, 1.0))
+    @settings(max_examples=60)
+    def test_edge_list_copy_gives_same_results(self, case, shrink):
+        grid, samples = case
+        d = build_grid(grid)
+        p = plain_copy(d)
+        assert p._grid is None
+        delta = lipschitz_delta(d, samples)
+        assert lipschitz_delta(p, samples) == delta
+        table, gd = quantize(d, samples, delta * shrink)
+        assert check_feasibility(d, gd) == check_feasibility(p, gd)
+        a, b = fit_gvf(d, samples), fit_gvf(p, samples)
+        assert a.delta == b.delta
+        assert a.field.idx.tolist() == b.field.idx.tolist()
+        assert to_scalar(a.field).values.tolist() == to_scalar(b.field).values.tolist()

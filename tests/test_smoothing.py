@@ -224,6 +224,16 @@ class TestSmoothReconstruct:
         with pytest.raises(ValueError, match="sweeps"):
             smooth_reconstruct(GridSpec(3, 3), {0: 1.0}, order=1, sweeps=-1)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_grid_domain_same_as_grid_spec(self, order):
+        grid = GridSpec(10, 8, connectivity="eight", spacing=0.5)
+        d, _, samples = self.grid_samples(
+            grid, 9, 3, lambda x, y: np.cos(x) + 0.3 * y)
+        a = smooth_reconstruct(d, samples, order=order, sweeps=6)
+        b = smooth_reconstruct(grid, samples, order=order, sweeps=6)
+        assert a.domain is d
+        assert a.values.tolist() == b.values.tolist()
+
     def test_plain_domain_needs_order_zero(self):
         d = path_domain(6)
         out = smooth_reconstruct(d, {0: 0.0, 5: 5.0}, order=0)
