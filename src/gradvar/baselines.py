@@ -66,7 +66,11 @@ class SamplePoints:
 class GaussianWeight:
     """theta(s) = exp(-(s / scale)^2); strictly decreasing, scale > 0.
 
-    scale=inf gives the constant weight 1 (plain least squares).
+    scale=inf gives the constant weight 1 (plain least squares).  MLS uses
+    relative weights exp(log_weight(s) - max log_weight), so each query's
+    nearest sample weighs 1 and far queries do not underflow to zero total
+    weight; the fit is unchanged, since scaling every weight by one factor
+    leaves the weighted least-squares solution as it is.
     """
 
     scale: float = 1.0
@@ -76,9 +80,14 @@ class GaussianWeight:
             raise ValueError("scale must be positive")
 
     def __call__(self, dist: np.ndarray) -> np.ndarray:
+        return np.exp(self.log_weight(dist))
+
+    def log_weight(self, dist: np.ndarray) -> np.ndarray:
+        """-(s / scale)^2, finite where the weight itself underflows to 0."""
+        d = np.asarray(dist, dtype=np.float64)
         if math.isinf(self.scale):
-            return np.ones_like(np.asarray(dist, dtype=np.float64))
-        return np.exp(-np.square(np.asarray(dist, dtype=np.float64) / self.scale))
+            return np.zeros_like(d)
+        return -np.square(d / self.scale)
 
 
 @dataclass(frozen=True)
@@ -102,7 +111,13 @@ class InversePowerWeight:
 
 @dataclass(frozen=True)
 class MlsConfig:
-    """Degree (0, 1 or 2) and weight function for moving least squares."""
+    """Degree (0, 1 or 2) and weight function for moving least squares.
+
+    weight maps an array of distances elementwise to nonnegative weights
+    of the same shape.  A weight that also has a ``log_weight`` method
+    (as GaussianWeight does) is used through it, relative to each query's
+    largest weight, so it cannot underflow to zero total weight.
+    """
 
     degree: int = 1
     weight: object = GaussianWeight()
@@ -139,13 +154,116 @@ class MlsResult(NamedTuple):
 
 
 def _basis(u: np.ndarray, degree: int) -> np.ndarray:
-    """Polynomial basis columns evaluated at centered points u (n, 2)."""
-    cols = [np.ones(len(u))]
+    """Polynomial basis columns evaluated at centered points u (..., 2)."""
+    x, y = u[..., 0], u[..., 1]
+    cols = [np.ones_like(x)]
     if degree >= 1:
-        cols += [u[:, 0], u[:, 1]]
+        cols += [x, y]
     if degree >= 2:
-        cols += [u[:, 0] ** 2, u[:, 0] * u[:, 1], u[:, 1] ** 2]
-    return np.stack(cols, axis=1)
+        cols += [x ** 2, x * y, y ** 2]
+    return np.stack(cols, axis=-1)
+
+
+def _basis_size(degree: int) -> int:
+    return (degree + 1) * (degree + 2) // 2
+
+
+# Queries per chunk are _CHUNK_CELLS // k, so each (chunk, k) temporary holds
+# about 2**14 floats and the (chunk, k, m) design matrix under 0.8 MB.
+_CHUNK_CELLS = 2 ** 14
+
+
+class _RowError(ValueError):
+    """A query the fit cannot serve; ``row`` is its index in the chunk."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _query_rows(query) -> np.ndarray:
+    q = np.asarray(query, dtype=np.float64)
+    if q.shape != (2,):
+        raise ValueError("query must be an (x, y) pair")
+    return q[None, :]
+
+
+def _distances(q: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """(chunk, k) Euclidean distances from each query to each sample."""
+    return np.hypot(xy[:, 0] - q[:, 0, None], xy[:, 1] - q[:, 1, None])
+
+
+def _mls_rows(q: np.ndarray, samples: SamplePoints,
+              config: MlsConfig) -> tuple[np.ndarray, np.ndarray]:
+    """MLS values and ranks at a chunk of queries q (chunk, 2).
+
+    Raises _RowError naming the lowest query whose weights are negative
+    or sum to zero.
+    """
+    xy, vals = samples.xy, samples.values
+    k = len(vals)
+    dist = _distances(q, xy)
+    log_weight = getattr(config.weight, "log_weight", None)
+    with np.errstate(invalid="ignore"):
+        if log_weight is not None:
+            # Relative weights: each query's nearest sample weighs 1.
+            lw = log_weight(dist)
+            w = np.exp(lw - lw.max(axis=1, keepdims=True))
+        else:
+            w = np.asarray(config.weight(dist), dtype=np.float64)
+        negative = (w < 0).any(axis=1)
+        inf = np.isinf(w)
+        dominated = inf.any(axis=1)
+        # Infinite weights dominate: those sites weigh 1, every other site 0.
+        w = np.where(dominated[:, None], inf, w)
+        total = w.sum(axis=1)
+        failed = negative | ~(total > 0)
+    if failed.any():
+        row = int(np.argmax(failed))
+        raise _RowError(row, "weights must be nonnegative" if negative[row] else
+                        "zero total weight at query; widen the weight function")
+
+    centroid = (w @ xy) / total[:, None]
+    offset = xy[None, :, :] - centroid[:, None, :]
+    spread = np.sqrt(np.einsum("ck,ck->c", w, np.square(offset).sum(axis=2))
+                     / total)
+    scale = np.where(spread > 0, spread, 1.0)
+    root_w = np.sqrt(w)
+    a = _basis(offset / scale[:, None, None], config.degree) * root_w[:, :, None]
+    b = vals * root_w
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    # lstsq's rcond=None rule, with k the rows left after dominance.
+    k_rows = np.where(dominated, inf.sum(axis=1), k)
+    m = a.shape[2]
+    keep = s > (np.finfo(np.float64).eps * np.maximum(k_rows, m) * s[:, 0])[:, None]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    coef = np.einsum("crm,cr->cm", vh, np.einsum("ckr,ck->cr", u, b) * inv)
+    uq = (q - centroid) / scale[:, None]
+    value = np.einsum("cm,cm->c", _basis(uq, config.degree), coef)
+    return value, keep.sum(axis=1)
+
+
+def _shepard_rows(q: np.ndarray, samples: SamplePoints,
+                  power: float) -> np.ndarray:
+    """Shepard values at a chunk of queries q (chunk, 2)."""
+    vals = samples.values
+    dist = _distances(q, samples.xy)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = dist ** -power
+        total = w.sum(axis=1)
+        out = (w @ vals) / total
+    # All weights underflowed; the nearest site dominates in the limit.
+    gone = total == 0.0
+    out[gone] = vals[np.argmin(dist[gone], axis=1)]
+    # d^power underflowed; those sites dominate every finite weight.
+    inf = np.isinf(w)
+    dominated = inf.any(axis=1)
+    out[dominated] = (inf[dominated] @ vals) / inf[dominated].sum(axis=1)
+    # A query exactly at a site returns that site's value.
+    hit = dist == 0.0
+    on_site = hit.any(axis=1)
+    out[on_site] = vals[np.argmax(hit[on_site], axis=1)]
+    return out
 
 
 def mls_fit(query, samples: SamplePoints, config: MlsConfig) -> MlsResult:
@@ -155,38 +273,19 @@ def mls_fit(query, samples: SamplePoints, config: MlsConfig) -> MlsResult:
     polynomials p of the configured degree and evaluates p at the query.
     The system is solved in a basis centered on the weighted centroid
     and isotropically scaled, which keeps the fit translation-equivariant
-    and makes rank detection scale-free.  With every sample weight
-    infinite-dominated (e.g. zero-distance under an epsilon-free inverse
-    power weight), the fit restricts to those dominating samples.
+    and makes rank detection scale-free.  The solve takes the SVD of the
+    weighted design matrix (never of the normal matrix, which would square
+    its condition number); rank counts the singular values above
+    eps * max(k, m) * s_max for k samples and m basis columns, the rule of
+    ``np.linalg.lstsq(rcond=None)``, and the coefficients are the
+    minimum-norm solution.  With every sample weight infinite-dominated
+    (e.g. zero-distance under an epsilon-free inverse power weight), the
+    fit restricts to those dominating samples.
     """
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (2,):
-        raise ValueError("query must be an (x, y) pair")
-    xy, vals = samples.xy, samples.values
-    dist = np.hypot(xy[:, 0] - q[0], xy[:, 1] - q[1])
-    w = np.asarray(config.weight(dist), dtype=np.float64)
-    if (w < 0).any():
-        raise ValueError("weights must be nonnegative")
-    if np.isinf(w).any():
-        keep = np.isinf(w)
-        xy, vals, dist = xy[keep], vals[keep], dist[keep]
-        w = np.ones(keep.sum())
-    total = w.sum()
-    if not total > 0:
-        raise ValueError("zero total weight at query; widen the weight function")
-
-    centroid = (w @ xy) / total
-    spread = math.sqrt(float(w @ np.square(xy - centroid).sum(axis=1)) / total)
-    scale = spread if spread > 0 else 1.0
-    u = (xy - centroid) / scale
-    a = _basis(u, config.degree) * np.sqrt(w)[:, None]
-    b = vals * np.sqrt(w)
-    coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    uq = (q - centroid) / scale
-    value = float(_basis(uq[None, :], config.degree)[0] @ coef)
-    size = len(coef)
-    return MlsResult(value=value, fallback=rank < size, rank=int(rank),
-                     basis_size=size)
+    value, rank = _mls_rows(_query_rows(query), samples, config)
+    size = _basis_size(config.degree)
+    return MlsResult(value=float(value[0]), fallback=bool(rank[0] < size),
+                     rank=int(rank[0]), basis_size=size)
 
 
 def shepard(query, samples: SamplePoints, power: float = 2.0) -> float:
@@ -198,23 +297,7 @@ def shepard(query, samples: SamplePoints, power: float = 2.0) -> float:
     """
     if not power > 0:
         raise ValueError("power must be positive")
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (2,):
-        raise ValueError("query must be an (x, y) pair")
-    dist = np.hypot(samples.xy[:, 0] - q[0], samples.xy[:, 1] - q[1])
-    hit = dist == 0.0
-    if hit.any():
-        return float(samples.values[np.nonzero(hit)[0][0]])
-    with np.errstate(over="ignore"):
-        w = dist ** -power
-    if np.isinf(w).any():
-        # d^power underflowed; those sites dominate every finite weight.
-        return float(samples.values[np.isinf(w)].mean())
-    total = w.sum()
-    if total == 0.0:
-        # All weights underflowed; the nearest site dominates in the limit.
-        return float(samples.values[int(np.argmin(dist))])
-    return float((w @ samples.values) / total)
+    return float(_shepard_rows(_query_rows(query), samples, power)[0])
 
 
 class DomainFit(NamedTuple):
@@ -227,27 +310,31 @@ class DomainFit(NamedTuple):
 def evaluate_on_domain(config, samples: SamplePoints, domain: Domain) -> DomainFit:
     """Apply a pointwise method at every vertex coordinate of a domain.
 
-    config is an MlsConfig or ShepardConfig.  MLS rank fallbacks are
-    collected per vertex; a hard failure (such as zero total weight)
-    aborts with the offending vertex named.
+    config is an MlsConfig or ShepardConfig.  Vertices are evaluated in
+    chunks of max(1, 2**14 // k) queries for k samples, so each chunk's
+    temporaries stay near 2**14 floats per array (the MLS design matrix
+    holds up to six times that, under 1 MB) whatever the domain size.
+    MLS rank fallbacks are collected per vertex; a hard failure (such as
+    zero total weight) aborts with the lowest offending vertex named.
     """
     if domain.coords is None:
         raise ValueError("domain has no vertex coordinates")
-    out = np.empty(domain.vertex_count, dtype=np.float64)
-    fallbacks: list[int] = []
-    if isinstance(config, MlsConfig):
-        for v in range(domain.vertex_count):
-            try:
-                res = mls_fit(domain.coords[v], samples, config)
-            except ValueError as exc:
-                raise ValueError(f"MLS failed at vertex {v}: {exc}") from exc
-            out[v] = res.value
-            if res.fallback:
-                fallbacks.append(v)
-    elif isinstance(config, ShepardConfig):
-        for v in range(domain.vertex_count):
-            out[v] = shepard(domain.coords[v], samples, config.power)
-    else:
+    if not isinstance(config, (MlsConfig, ShepardConfig)):
         raise TypeError("config must be an MlsConfig or ShepardConfig")
+    n = domain.vertex_count
+    step = max(1, _CHUNK_CELLS // len(samples))
+    out = np.empty(n, dtype=np.float64)
+    fallbacks = [np.empty(0, dtype=np.int64)]
+    for start in range(0, n, step):
+        q = domain.coords[start:start + step]
+        if isinstance(config, ShepardConfig):
+            out[start:start + step] = _shepard_rows(q, samples, config.power)
+            continue
+        try:
+            value, rank = _mls_rows(q, samples, config)
+        except _RowError as exc:
+            raise ValueError(f"MLS failed at vertex {start + exc.row}: {exc}") from exc
+        out[start:start + step] = value
+        fallbacks.append(start + np.nonzero(rank < _basis_size(config.degree))[0])
     return DomainFit(field=ScalarField(domain=domain, values=out),
-                     fallback_vertices=tuple(fallbacks))
+                     fallback_vertices=tuple(np.concatenate(fallbacks).tolist()))

@@ -211,7 +211,9 @@ def load_mesh(path) -> Domain:
     naming the line number; other record types are ignored.
     """
     verts: list[tuple[float, float]] = []
-    faces: list[tuple[int, list[int]]] = []
+    corners: list[int] = []      # every face's 1-based indices, in file order
+    sizes: list[int] = []        # 3 or 4 corners per face
+    face_lines: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -238,18 +240,26 @@ def load_mesh(path) -> Domain:
                 except ValueError:
                     raise ValueError(
                         f"{path}: line {lineno}: non-integer face index") from None
-                faces.append((lineno, ids))
+                corners.extend(ids)
+                sizes.append(len(ids))
+                face_lines.append(lineno)
             # Anything else (vn, vt, o, g, ...) is outside the subset; skip.
     if not verts:
         raise ValueError(f"{path}: no vertices found")
     n = len(verts)
-    edges = []
-    for lineno, ids in faces:
-        if any(i < 1 or i > n for i in ids):
-            raise ValueError(f"{path}: line {lineno}: face index out of range")
-        cycle = [i - 1 for i in ids]
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            edges.append((a, b))
+    ids = np.asarray(corners, dtype=np.int64)
+    size = np.asarray(sizes, dtype=np.int64)
+    face = np.repeat(np.arange(len(size)), size)
+    bad = (ids < 1) | (ids > n)
+    if bad.any():
+        lineno = face_lines[int(face[np.argmax(bad)])]
+        raise ValueError(f"{path}: line {lineno}: face index out of range")
+    # Each corner joins the next one of its face; the last closes the cycle.
+    first = np.cumsum(size) - size
+    nxt = np.arange(len(ids)) + 1
+    closing = nxt == (first + size)[face]
+    nxt[closing] = first[face[closing]]
+    edges = np.stack([ids - 1, ids[nxt] - 1], axis=1)
     return Domain(n, edges, coords=np.asarray(verts, dtype=np.float64))
 
 

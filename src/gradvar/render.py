@@ -129,17 +129,18 @@ def render_heightmesh(field: ScalarField, grid: GridSpec, path) -> None:
     so a WxH grid yields W*H vertices and 2(W-1)(H-1) faces.
     """
     z = _grid_values(field, grid)
-    lines = []
-    for r in range(grid.height):
-        for c in range(grid.width):
-            lines.append(
-                f"v {c * grid.spacing!r} {r * grid.spacing!r} {float(z[r, c])!r}")
-    for r in range(grid.height - 1):
-        for c in range(grid.width - 1):
-            v00 = r * grid.width + c + 1
-            v10 = v00 + 1
-            v01 = v00 + grid.width
-            v11 = v01 + 1
-            lines.append(f"f {v00} {v10} {v11}")
-            lines.append(f"f {v00} {v11} {v01}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    xs = [repr(c * grid.spacing) for c in range(grid.width)]
+    rows = []
+    for r, zrow in enumerate(z.tolist()):
+        y = repr(r * grid.spacing)
+        rows.append("".join([f"v {x} {y} {v!r}\n" for x, v in zip(xs, zrow)]))
+    # Per cell: (v00, v10, v11) and (v00, v11, v01), 1-based row-major ids;
+    # one %-format pass per row of cells keeps the int objects few.
+    v00 = (np.arange(grid.height - 1)[:, None] * grid.width
+           + np.arange(grid.width - 1)[None, :] + 1)
+    v01 = v00 + grid.width
+    faces = np.stack([v00, v00 + 1, v01 + 1, v00, v01 + 1, v01], axis=2)
+    template = "f %d %d %d\n" * (2 * (grid.width - 1))
+    rows.extend(template % tuple(cells.tolist()) for cells in
+                faces.reshape(grid.height - 1, 6 * (grid.width - 1)))
+    atomic_write_text(path, "".join(rows))

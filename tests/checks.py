@@ -65,3 +65,75 @@ def oracle_extension_exists(valid_assignments: np.ndarray, verts,
     for v, i in zip(verts, indices):
         mask &= valid_assignments[:, v] == i
     return bool(mask.any())
+
+
+def oracle_mls(query, xy, vals, degree, weight):
+    """Per-query weighted least squares through ``np.linalg.lstsq``.
+
+    Returns (value, rank, basis size) for one query.  Raises ValueError
+    on negative weights or zero total weight; infinite weights restrict
+    the fit to the dominating sites.
+    """
+    q = np.asarray(query, dtype=np.float64)
+    dist = np.hypot(xy[:, 0] - q[0], xy[:, 1] - q[1])
+    w = np.asarray(weight(dist), dtype=np.float64)
+    if (w < 0).any():
+        raise ValueError("weights must be nonnegative")
+    if np.isinf(w).any():
+        keep = np.isinf(w)
+        xy, vals = xy[keep], vals[keep]
+        w = np.ones(keep.sum())
+    total = w.sum()
+    if not total > 0:
+        raise ValueError("zero total weight at query")
+
+    def basis(u):
+        cols = [np.ones(len(u))]
+        if degree >= 1:
+            cols += [u[:, 0], u[:, 1]]
+        if degree >= 2:
+            cols += [u[:, 0] ** 2, u[:, 0] * u[:, 1], u[:, 1] ** 2]
+        return np.stack(cols, axis=1)
+
+    centroid = (w @ xy) / total
+    spread = float(np.sqrt((w @ np.square(xy - centroid).sum(axis=1)) / total))
+    scale = spread if spread > 0 else 1.0
+    a = basis((xy - centroid) / scale) * np.sqrt(w)[:, None]
+    coef, _, rank, _ = np.linalg.lstsq(a, vals * np.sqrt(w), rcond=None)
+    value = float(basis(((q - centroid) / scale)[None, :])[0] @ coef)
+    return value, int(rank), len(coef)
+
+
+def oracle_shepard(query, xy, vals, power):
+    """Scalar inverse-distance weighting with the site/overflow/underflow rules."""
+    q = np.asarray(query, dtype=np.float64)
+    dist = np.hypot(xy[:, 0] - q[0], xy[:, 1] - q[1])
+    hit = dist == 0.0
+    if hit.any():
+        return float(vals[np.nonzero(hit)[0][0]])
+    with np.errstate(over="ignore"):
+        w = dist ** -power
+    if np.isinf(w).any():
+        return float(vals[np.isinf(w)].mean())
+    total = w.sum()
+    if total == 0.0:
+        return float(vals[int(np.argmin(dist))])
+    return float((w @ vals) / total)
+
+
+def oracle_heightmesh_text(z: np.ndarray, width: int, height: int,
+                           spacing) -> str:
+    """OBJ text of a height mesh, one f-string per vertex and per face."""
+    lines = []
+    for r in range(height):
+        for c in range(width):
+            lines.append(f"v {c * spacing!r} {r * spacing!r} {float(z[r, c])!r}")
+    for r in range(height - 1):
+        for c in range(width - 1):
+            v00 = r * width + c + 1
+            v10 = v00 + 1
+            v01 = v00 + width
+            v11 = v01 + 1
+            lines.append(f"f {v00} {v10} {v11}")
+            lines.append(f"f {v00} {v11} {v01}")
+    return "\n".join(lines) + "\n"

@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from gradvar import (GaussianWeight, GridSpec, InversePowerWeight, MlsConfig,
                      SamplePoints, ShepardConfig, build_graph, build_grid,
                      evaluate_on_domain, mls_fit, shepard)
+from gradvar.baselines import _CHUNK_CELLS
+
+from checks import oracle_mls, oracle_shepard
 
 finite = st.floats(-50, 50, allow_nan=False)
 
@@ -149,9 +152,35 @@ class TestMls:
 
     def test_zero_total_weight_raises(self):
         sp = SamplePoints(xy=[[1000.0, 0.0]], values=[1.0])
-        cfg = MlsConfig(degree=0, weight=GaussianWeight(scale=1.0))
+        cfg = MlsConfig(degree=0, weight=lambda d: np.zeros_like(d))
         with pytest.raises(ValueError, match="weight"):
             mls_fit((0.0, 0.0), sp, cfg)
+
+    def test_far_query_gaussian_uses_relative_weights(self):
+        # exp(-1000^2) underflows to 0, but the weights relative to the
+        # nearest sample do not, so the fit is the nearest sample's value.
+        sp = SamplePoints(xy=[[1000.0, 0.0]], values=[1.0])
+        cfg = MlsConfig(degree=0, weight=GaussianWeight(scale=1.0))
+        assert GaussianWeight(scale=1.0)(np.array([1000.0]))[0] == 0.0
+        assert mls_fit((0.0, 0.0), sp, cfg).value == 1.0
+        two = SamplePoints(xy=[[1000.0, 0.0], [1100.0, 0.0]], values=[4.0, 9.0])
+        assert mls_fit((0.0, 0.0), two, cfg).value == pytest.approx(4.0)
+
+    def test_rank_rule_counts_only_dominating_samples(self):
+        # Three nearly collinear sites lie where d^-400 overflows, so the
+        # fit restricts to them; their smallest singular value is above
+        # lstsq's cutoff for 3 rows but below the one for all 1000 samples.
+        rng = np.random.default_rng(0)
+        xy = np.vstack([[[-0.1, 0.0], [0.1, 0.0], [0.05, 1e-14]],
+                        rng.uniform(5, 50, size=(997, 2))])
+        vals = np.concatenate([[1.0, 2.0, 3.0], rng.normal(size=997)])
+        weight = InversePowerWeight(power=400.0)
+        with np.errstate(over="ignore"):
+            res = mls_fit((0.0, 0.0), SamplePoints(xy=xy, values=vals),
+                          MlsConfig(degree=1, weight=weight))
+            want = oracle_mls((0.0, 0.0), xy, vals, 1, weight)
+        assert (res.rank, res.fallback) == (3, False)
+        assert res.rank == want[1]
 
     def test_negative_weight_rejected(self):
         sp = plane_samples()
@@ -252,11 +281,119 @@ class TestEvaluateOnDomain:
     def test_hard_failure_names_vertex(self):
         d = build_grid(GridSpec(2, 1, spacing=100.0))
         sp = SamplePoints(xy=[[0.0, 0.0]], values=[1.0])
-        cfg = MlsConfig(degree=0, weight=GaussianWeight(scale=1.0))
+        cfg = MlsConfig(degree=0,
+                        weight=lambda d: np.where(d > 0, 0.0, 1.0))
         with pytest.raises(ValueError, match="vertex 1"):
             evaluate_on_domain(cfg, sp, d)
+
+    def test_hard_failure_names_lowest_vertex(self):
+        # Vertex 2 has zero total weight and vertex 3 a negative weight.
+        d = build_grid(GridSpec(4, 1, spacing=100.0))
+        sp = SamplePoints(xy=[[0.0, 0.0]], values=[1.0])
+        cfg = MlsConfig(degree=0,
+                        weight=lambda d: (d < 150) - (d > 250).astype(float))
+        with pytest.raises(ValueError, match="vertex 2: zero total weight"):
+            evaluate_on_domain(cfg, sp, d)
+
+    def test_far_vertex_gaussian_returns_nearest_value(self):
+        d = build_grid(GridSpec(2, 1, spacing=100.0))
+        sp = SamplePoints(xy=[[0.0, 0.0], [-50.0, 0.0]], values=[1.0, 5.0])
+        cfg = MlsConfig(degree=0, weight=GaussianWeight(scale=1.0))
+        fit = evaluate_on_domain(cfg, sp, d)
+        assert fit.field.values.tolist() == [1.0, 1.0]
+        assert fit.fallback_vertices == ()
 
     def test_unknown_config_type(self):
         d = build_grid(GridSpec(2, 2))
         with pytest.raises(TypeError):
             evaluate_on_domain(object(), plane_samples(), d)
+
+
+def _agree(got, want, vals):
+    """Equal to 1e-12 relative to the larger of the value and the data scale."""
+    scale = np.maximum(np.abs(want), np.abs(vals).max())
+    assert (np.abs(got - want) <= 1e-12 * scale).all()
+
+
+def _query_domain(ordinary, edge, k, rng):
+    """A coordinate-only domain of shuffled ordinary and edge-case queries.
+
+    Its size is no multiple of the chunk size, and every chunk holds both
+    kinds of query.
+    """
+    queries = np.vstack([ordinary, edge])
+    order = rng.permutation(len(queries))
+    step = max(1, _CHUNK_CELLS // k)
+    assert len(queries) > step and len(queries) % step != 0
+    is_edge = order >= len(ordinary)
+    for start in range(0, len(queries), step):
+        assert 0 < is_edge[start:start + step].sum() < len(is_edge[start:start + step])
+    return build_graph([], len(queries), coords=queries[order])
+
+
+class TestChunkedAgainstPerQuery:
+    """The chunk kernels against the per-query lstsq and scalar Shepard."""
+
+    @staticmethod
+    def mls_layout(seed):
+        # A scatter plus a far collinear cluster: near the cluster, narrow
+        # weights leave only collinear samples, so those rows fall back.
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0, 4, size=8)
+        xy = np.vstack([rng.uniform(0, 10, size=(30, 2)),
+                        np.stack([40 + t, 30 + 2 * t], axis=1)])
+        sp = SamplePoints(xy=xy, values=rng.normal(0, 3, size=len(xy)))
+        near_line = xy[30 + rng.integers(0, 8, 60)] + rng.normal(0, 0.3, (60, 2))
+        # Edge rows: near the cluster, and on the sites, where an epsilon-free
+        # inverse power weight is infinite.
+        edge = np.vstack([near_line, xy])
+        return sp, _query_domain(rng.uniform(-1, 11, size=(900, 2)), edge,
+                                 len(sp), rng)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("weight", [
+        GaussianWeight(scale=1.5),
+        GaussianWeight(scale=math.inf),
+        InversePowerWeight(power=2.0),  # infinite at the sample sites
+        InversePowerWeight(power=3.0, epsilon=0.1),
+    ])
+    def test_mls_matches_lstsq(self, seed, degree, weight):
+        sp, d = self.mls_layout(seed)
+        fit = evaluate_on_domain(MlsConfig(degree=degree, weight=weight), sp, d)
+        want = np.empty(d.vertex_count)
+        fallbacks = []
+        for v, q in enumerate(d.coords):
+            want[v], rank, size = oracle_mls(q, sp.xy, sp.values, degree, weight)
+            if v < 100:
+                res = mls_fit(q, sp, MlsConfig(degree=degree, weight=weight))
+                assert (res.rank, res.basis_size) == (rank, size)
+                assert res.fallback == (rank < size)
+                assert res.value == pytest.approx(want[v], rel=1e-12,
+                                                  abs=1e-12 * np.abs(sp.values).max())
+            if rank < size:
+                fallbacks.append(v)
+        _agree(fit.field.values, want, sp.values)
+        assert fit.fallback_vertices == tuple(fallbacks)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("power", [1.0, 2.0, 3.0, 4.0])
+    def test_shepard_matches_scalar(self, seed, power):
+        rng = np.random.default_rng(seed)
+        tiny = [[1e-300, 0.0], [-1e-300, 0.0]]
+        xy = np.vstack([rng.uniform(0, 10, size=(40, 2)), tiny])
+        sp = SamplePoints(xy=xy, values=rng.normal(0, 3, size=len(xy)))
+        edge_rows = np.vstack([
+            xy,                                   # on a site
+            [[0.0, 0.0], [1e-300, 1e-310]],       # weights overflow to inf
+            [[1e200, -1e200], [-3e200, 2e200]],   # every weight underflows
+        ])
+        d = _query_domain(rng.uniform(-1, 11, size=(700, 2)), edge_rows,
+                          len(sp), rng)
+        fit = evaluate_on_domain(ShepardConfig(power=power), sp, d)
+        want = np.array([oracle_shepard(q, sp.xy, sp.values, power)
+                         for q in d.coords])
+        _agree(fit.field.values, want, sp.values)
+        for q, w in zip(d.coords[:50], want[:50]):
+            assert shepard(q, sp, power) == pytest.approx(w, rel=1e-12, abs=1e-12)
+        assert fit.fallback_vertices == ()

@@ -119,6 +119,24 @@ class TestFit:
         csv = read_field_csv(out / "field.csv")
         assert csv.indices is None and len(csv.values) == 16
 
+    def test_mls_default_weight_far_from_samples(self, tmp_path, capsys):
+        # Gaussian weights of scale 1 underflow to 0 more than about 27
+        # units from every sample, as they do across the empty upper left of
+        # this grid; the fit uses weights relative to the nearest sample,
+        # so every vertex still gets a value.
+        rng = np.random.default_rng(3)
+        cells = rng.choice(64 * 64, size=50, replace=False)
+        verts = np.sort((64 + cells // 64) * 128 + 64 + cells % 64)
+        samples = tmp_path / "s.csv"
+        samples.write_text("vertex,value\n" + "".join(
+            f"{v},{float(np.sin(v / 300.0))!r}\n" for v in verts))
+        out = tmp_path / "out"
+        rc = main(["fit", "--grid", "128x128", "--samples", str(samples),
+                   "--method", "mls", "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        values = read_field_csv(out / "field.csv").values
+        assert len(values) == 128 * 128 and np.isfinite(values).all()
+
     def test_smooth_builds_the_grid_once(self, corner_samples, tmp_path,
                                          monkeypatch):
         import gradvar.cli

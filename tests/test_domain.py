@@ -253,6 +253,31 @@ class TestLoadMesh:
             load_mesh(p)
 
 
+    def test_mixed_faces_match_tuple_edge_list(self, tmp_path):
+        # The parent layout: one (a, b) tuple per face side, in file order.
+        rng = np.random.default_rng(5)
+        n = 40
+        faces = [list(rng.choice(n, size=int(rng.integers(3, 5)), replace=False) + 1)
+                 for _ in range(60)]
+        p = tmp_path / "mixed.obj"
+        p.write_text("".join(f"v {i} {i * i % 7} 0\n" for i in range(n))
+                     + "".join("f " + " ".join(f"{i}/{i}" for i in f) + "\n"
+                               for f in faces))
+        edges = [(a - 1, b - 1) for f in faces for a, b in zip(f, f[1:] + f[:1])]
+        want = Domain(n, edges)
+        got = load_mesh(p)
+        assert {len(f) for f in faces} == {3, 4}
+        for attr in ("_offsets", "_dir_src", "_dir_dst"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+    def test_out_of_range_names_first_bad_face(self, tmp_path):
+        p = tmp_path / "bad.obj"
+        p.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
+                     "f 1 2 3\nf 1 2 3 0\nf 9 2 3\n")
+        with pytest.raises(ValueError, match="line 6: face index out of range"):
+            load_mesh(p)
+
+
 class TestSubdomain:
     def test_induced_edges_and_ids(self):
         g = GridSpec(3, 3)

@@ -10,6 +10,9 @@ from gradvar import (Domain, GridSpec, LevelField, LevelTable, ParsedSamples,
                      read_samples_csv, render_heatmap, render_heightmesh,
                      render_pgm16, sample_coords, snap_to_vertices,
                      write_level_csv, write_metrics_json, write_scalar_csv)
+from gradvar.fileio import atomic_write_text
+
+from checks import oracle_heightmesh_text
 
 
 def field_on(grid, values):
@@ -128,6 +131,22 @@ class TestHeightmesh:
         # grid edges plus one diagonal per cell
         assert d.edge_count == 7 + 2
         assert d.coords[4].tolist() == [0.5, 0.5]
+
+
+    @pytest.mark.parametrize("width,height,spacing", [
+        (5, 4, 0.3), (7, 6, 2), (1, 6, 1.0), (6, 1, 0.25), (1, 1, 1.5)])
+    def test_bytes_match_per_element_loop(self, tmp_path, width, height,
+                                          spacing):
+        grid = GridSpec(width, height, spacing=spacing)
+        values = np.random.default_rng(width * height).normal(
+            0, 1e3, size=width * height) / 7
+        values[0] = -0.0
+        p = tmp_path / "m.obj"
+        render_heightmesh(field_on(grid, values), grid, p)
+        want = tmp_path / "want.obj"
+        atomic_write_text(want, oracle_heightmesh_text(
+            values.reshape(height, width), width, height, spacing))
+        assert p.read_bytes() == want.read_bytes()
 
 
 class TestSamplesCsv:
