@@ -12,8 +12,7 @@ from .baselines import (DomainFit, GaussianWeight, InversePowerWeight,
                         MlsConfig, MlsResult, SamplePoints, ShepardConfig,
                         evaluate_on_domain, mls_fit, shepard)
 from .domain import (UNREACHABLE, DistanceField, Domain, GridSpec,
-                     SubdomainMap, bfs_distances, build_graph, build_grid,
-                     load_mesh, subdomain)
+                     bfs_distances, build_graph, build_grid, load_mesh)
 from .fields import ScalarField
 from .fileio import (FieldCsv, ParsedSamples, atomic_write_bytes,
                      atomic_write_text, read_edge_list, read_field_csv,
@@ -32,8 +31,8 @@ from .smoothing import (GradientField, RelaxReport, discrete_gradient,
 __version__ = "0.1.0"
 
 __all__ = [
-    "UNREACHABLE", "Domain", "GridSpec", "DistanceField", "SubdomainMap",
-    "build_grid", "build_graph", "load_mesh", "bfs_distances", "subdomain",
+    "UNREACHABLE", "Domain", "GridSpec", "DistanceField",
+    "build_grid", "build_graph", "load_mesh", "bfs_distances",
     "ScalarField",
     "LevelTable", "GuidingSet", "LevelField", "EnvelopePair", "Witness",
     "FeasibilityCheck", "InfeasibleError", "GvfFit",

@@ -83,11 +83,12 @@ class GaussianWeight:
         return np.exp(self.log_weight(dist))
 
     def log_weight(self, dist: np.ndarray) -> np.ndarray:
-        """-(s / scale)^2, finite where the weight itself underflows to 0."""
+        """-(s / scale)^2; -inf only where that overflows, s > ~1.3e154 * scale."""
         d = np.asarray(dist, dtype=np.float64)
         if math.isinf(self.scale):
             return np.zeros_like(d)
-        return -np.square(d / self.scale)
+        with np.errstate(over="ignore"):
+            return -np.square(d / self.scale)
 
 
 @dataclass(frozen=True)
@@ -206,9 +207,12 @@ def _mls_rows(q: np.ndarray, samples: SamplePoints,
     log_weight = getattr(config.weight, "log_weight", None)
     with np.errstate(invalid="ignore"):
         if log_weight is not None:
-            # Relative weights: each query's nearest sample weighs 1.
+            # Relative weights: each query's nearest sample weighs 1, also
+            # where its log weight overflowed (farther ones are then 0).
             lw = log_weight(dist)
-            w = np.exp(lw - lw.max(axis=1, keepdims=True))
+            top = lw.max(axis=1, keepdims=True)
+            w = np.where(np.isneginf(top), dist == dist.min(axis=1, keepdims=True),
+                         np.exp(lw - top))
         else:
             w = np.asarray(config.weight(dist), dtype=np.float64)
         negative = (w < 0).any(axis=1)
@@ -225,8 +229,9 @@ def _mls_rows(q: np.ndarray, samples: SamplePoints,
 
     centroid = (w @ xy) / total[:, None]
     offset = xy[None, :, :] - centroid[:, None, :]
-    spread = np.sqrt(np.einsum("ck,ck->c", w, np.square(offset).sum(axis=2))
-                     / total)
+    with np.errstate(over="ignore"):  # zero-weight samples add 0, even at inf
+        sq = np.where(w > 0, np.square(offset).sum(axis=2), 0.0)
+    spread = np.sqrt(np.einsum("ck,ck->c", w, sq) / total)
     scale = np.where(spread > 0, spread, 1.0)
     root_w = np.sqrt(w)
     a = _basis(offset / scale[:, None, None], config.degree) * root_w[:, :, None]

@@ -172,16 +172,14 @@ def _run_method(method: str, case: BenchCase, grid: GridSpec, domain: Domain,
 
 
 def run_bench(grid: GridSpec, generators, methods, trials: int, count: int,
-              seed: int, mls_degree: int = 1, mls_scale: float | None = None,
-              shepard_power: float = 2.0, iters: int = 100, tol: float = 1e-9,
+              seed: int, mls_degree: int = 1, shepard_power: float = 2.0,
+              iters: int = 100, tol: float = 1e-9,
               verbose: bool = True) -> list[BenchRow]:
     """Run every (trial, generator, method) combination on one grid."""
     if trials < 1 or count < 1:
         raise ValueError("trials and sample count must be positive")
     domain = build_grid(grid)
-    if mls_scale is None:
-        mls_scale = max(grid.width, grid.height) * grid.spacing / 4
-    weight = GaussianWeight(scale=mls_scale)
+    weight = GaussianWeight(scale=max(grid.width, grid.height) * grid.spacing / 4)
     rows: list[BenchRow] = []
     for trial in range(trials):
         for gen in generators:

@@ -215,8 +215,7 @@ def cmd_fit(args) -> int:
         "command": "fit", "domain": _domain_description(args),
         "samples": args.samples, "method": args.method,
         "delta": args.delta, "policy": args.policy, "order": args.order,
-        "sweeps": args.sweeps, "iters": args.iters, "tol": args.tol,
-        "seed": args.seed})
+        "sweeps": args.sweeps, "iters": args.iters, "tol": args.tol})
     written.append(run_path)
     for path in written:
         print(f"wrote {path}")
@@ -296,7 +295,6 @@ def _build_parser() -> _Parser:
                     help="mls weight: gaussian[:scale] or invpow:p[,eps]")
     pf.add_argument("--power", type=float, default=2.0,
                     help="shepard inverse-distance power")
-    pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--out", default=".", metavar="DIR")
     pf.add_argument("--truth", metavar="FILE",
                     help="vertex,value CSV to score against")

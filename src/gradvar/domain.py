@@ -8,7 +8,7 @@ physical grid spacing only enters derivative stencils and rendering.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,44 +320,3 @@ def bfs_distances(domain: Domain, sources) -> DistanceField:
     dist = np.where(dist >= _INF, np.int64(UNREACHABLE), dist)
     dist.setflags(write=False)
     return DistanceField(sources=tuple(int(s) for s in src), dist=dist)
-
-
-@dataclass(frozen=True)
-class SubdomainMap:
-    """Id translation for an induced subgraph.
-
-    ``old_of_new[k]`` is the original id of new vertex ``k`` (ascending);
-    ``new_of_old`` maps original ids to new ones, -1 where dropped.
-    """
-
-    old_of_new: np.ndarray
-    new_of_old: np.ndarray
-
-    def restrict(self, values: np.ndarray) -> np.ndarray:
-        """Pull a per-vertex array of the parent down to the subdomain."""
-        return np.asarray(values)[self.old_of_new]
-
-    def embed(self, values: np.ndarray, fill=np.nan) -> np.ndarray:
-        """Push a subdomain array back into a full-size array."""
-        out = np.full(len(self.new_of_old), fill, dtype=np.asarray(values).dtype)
-        out[self.old_of_new] = values
-        return out
-
-
-def subdomain(domain: Domain, keep) -> tuple[Domain, SubdomainMap]:
-    """Induced subgraph on ``keep`` with dense re-ids plus the id map."""
-    kept = np.asarray(sorted(set(int(v) for v in keep)), dtype=np.int64)
-    if kept.size == 0:
-        raise ValueError("keep set must be nonempty")
-    if (kept < 0).any() or (kept >= domain.vertex_count).any():
-        raise ValueError("keep vertex id out of range")
-    new_of_old = np.full(domain.vertex_count, -1, dtype=np.int64)
-    new_of_old[kept] = np.arange(len(kept))
-    src, dst = domain.edge_pairs()
-    mask = (new_of_old[src] >= 0) & (new_of_old[dst] >= 0)
-    edges = np.stack([new_of_old[src[mask]], new_of_old[dst[mask]]], axis=1)
-    coords = domain.coords[kept] if domain.coords is not None else None
-    sub = Domain(len(kept), edges, coords=coords)
-    new_of_old.setflags(write=False)
-    kept.setflags(write=False)
-    return sub, SubdomainMap(old_of_new=kept, new_of_old=new_of_old)

@@ -4,7 +4,8 @@ A level field assigns every vertex one of n ordered level indices so that
 adjacent vertices differ by at most one index (a discrete 1-Lipschitz
 function into a chain).  Given guiding vertices with prescribed indices,
 such an assignment interpolating them exists iff every guiding pair
-(x, i), (y, j) satisfies d(x, y) >= |i - j| with d the hop distance.
+(x, i), (y, j) satisfies d(x, y) >= |i - j| with d the hop distance;
+guiding vertices in different components count as infeasible.
 This module quantizes real samples into indices, decides existence, and
 constructs an extension via distance envelopes.
 """
@@ -12,12 +13,12 @@ constructs an extension via distance envelopes.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .domain import _INF, UNREACHABLE, Domain, bfs_distances, min_offset_sweep
+from .domain import UNREACHABLE, Domain, bfs_distances, min_offset_sweep
 from .fields import ScalarField
 
 
@@ -36,14 +37,6 @@ class LevelTable:
             raise ValueError("delta must be positive")
         if self.count < 1:
             raise ValueError("count must be a positive integer")
-
-    def level(self, i: int) -> float:
-        if not 1 <= i <= self.count:
-            raise ValueError(f"level index {i} outside 1..{self.count}")
-        return self.base + (i - 1) * self.delta
-
-    def levels_array(self) -> np.ndarray:
-        return self.base + np.arange(self.count) * self.delta
 
 
 @dataclass(frozen=True)
@@ -130,11 +123,13 @@ class EnvelopePair:
     """Tightest per-vertex level bounds consistent with all guiding points.
 
     Both bounds are 1-Lipschitz across edges; an interpolating extension
-    exists iff lower <= upper everywhere.
+    exists iff lower <= upper everywhere and the guiding vertices share
+    one component, the verdict of :func:`check_feasibility`.
     """
 
     lower: np.ndarray
     upper: np.ndarray
+    _connected: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=np.int64)
@@ -148,7 +143,7 @@ class EnvelopePair:
 
     @property
     def feasible(self) -> bool:
-        return bool((self.lower <= self.upper).all())
+        return self._connected and bool((self.lower <= self.upper).all())
 
 
 class Witness(NamedTuple):
@@ -199,6 +194,36 @@ def _pair_distances(domain: Domain, vertices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sample_arrays(domain: Domain, samples: Mapping[int, float],
+                   kind: str = "sample") -> tuple[np.ndarray, np.ndarray]:
+    """Validated (vertices, values) arrays of a vertex -> value map, by vertex."""
+    verts = np.array(sorted(samples), dtype=np.int64)
+    if verts.size == 0:
+        raise ValueError(f"{kind} set must be nonempty")
+    if (verts < 0).any() or (verts >= domain.vertex_count).any():
+        raise ValueError(f"{kind} vertex id out of range")
+    vals = np.array([samples[int(v)] for v in verts], dtype=np.float64)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{kind} values must be finite")
+    return verts, vals
+
+
+def _component_witness(domain: Domain, verts: np.ndarray,
+                       indices: np.ndarray | None = None) -> Witness | None:
+    """None if all ``verts`` share a component, else the UNREACHABLE witness
+    (first vertex, first one outside its component), the first such pair in
+    row-major order.  A :func:`build_grid` domain is connected: no sweep.
+    """
+    if domain._grid is not None or len(verts) < 2:
+        return None
+    outside = np.nonzero(~bfs_distances(domain, [int(verts[0])]).reachable[verts])[0]
+    if outside.size == 0:
+        return None
+    b = int(outside[0])
+    gap = None if indices is None else int(abs(indices[b] - indices[0]))
+    return Witness(int(verts[0]), int(verts[b]), UNREACHABLE, gap)
+
+
 def lipschitz_delta(domain: Domain, samples: Mapping[int, float],
                     zero_range_floor: float = 1e-9) -> float:
     """Smallest level spacing that keeps the quantized samples feasible.
@@ -207,28 +232,19 @@ def lipschitz_delta(domain: Domain, samples: Mapping[int, float],
     with any delta >= this value yields indices whose gaps never exceed
     the hop distance.  All-equal values would give 0, which is replaced
     by ``zero_range_floor * max(1, |value|)`` so one level suffices.
-    Hop distances come from the closed-form grid metric on
-    :func:`build_grid` domains and from BFS elsewhere.
+    Samples in different components raise InfeasibleError.  Hop distances
+    come from the grid metric on :func:`build_grid` domains, else BFS.
     """
-    verts = np.array(sorted(samples), dtype=np.int64)
-    if verts.size == 0:
-        raise ValueError("need at least one sample")
-    if (verts < 0).any() or (verts >= domain.vertex_count).any():
-        raise ValueError("sample vertex id out of range")
-    vals = np.array([samples[int(v)] for v in verts], dtype=np.float64)
-    if not np.isfinite(vals).all():
-        raise ValueError("sample values must be finite")
+    verts, vals = _sample_arrays(domain, samples)
+    split = _component_witness(domain, verts)
+    if split is not None:
+        raise InfeasibleError(
+            split, f"sample vertices {split.vertex_a} and {split.vertex_b} "
+                   f"lie in different components")
     if verts.size == 1:
         return zero_range_floor * max(1.0, abs(float(vals[0])))
-    dist = _pair_distances(domain, verts)
     iu = np.triu_indices(len(verts), k=1)
-    d = dist[iu]
-    if (d == UNREACHABLE).any():
-        a, b = iu[0][d == UNREACHABLE][0], iu[1][d == UNREACHABLE][0]
-        raise InfeasibleError(
-            Witness(int(verts[a]), int(verts[b]), UNREACHABLE, None),
-            f"sample vertices {int(verts[a])} and {int(verts[b])} lie in "
-            f"different components")
+    d = _pair_distances(domain, verts)[iu]
     gaps = np.abs(vals[iu[0]] - vals[iu[1]])
     star = float((gaps / d).max())
     if star == 0.0:
@@ -258,14 +274,7 @@ def quantize(domain: Domain, samples: Mapping[int, float],
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    verts = np.array(sorted(samples), dtype=np.int64)
-    if verts.size == 0:
-        raise ValueError("need at least one sample")
-    if (verts < 0).any() or (verts >= domain.vertex_count).any():
-        raise ValueError("sample vertex id out of range")
-    vals = np.array([samples[int(v)] for v in verts], dtype=np.float64)
-    if not np.isfinite(vals).all():
-        raise ValueError("sample values must be finite")
+    verts, vals = _sample_arrays(domain, samples)
     base = float(vals.min())
     count = max(1, int(np.floor((float(vals.max()) - base) / delta)) + 1)
     t = (vals - base) / delta
@@ -283,25 +292,21 @@ def check_feasibility(domain: Domain, guiding: GuidingSet) -> FeasibilityCheck:
 
     Feasible iff d(x, y) >= |i - j| for every guiding pair.  On failure
     the witness is a pair with maximal violation |i - j| - d; guiding
-    vertices in different components yield an UNREACHABLE witness.  On
-    :func:`build_grid` domains d is the closed-form grid metric, elsewhere
-    one BFS per guiding vertex.
+    vertices in different components yield an UNREACHABLE witness instead.
+    On :func:`build_grid` domains d is the closed-form grid metric,
+    elsewhere one BFS per guiding vertex.  :func:`envelopes` agrees.
     """
     verts = guiding.vertices
     if (verts >= domain.vertex_count).any():
         raise ValueError("guiding vertex id out of range")
+    split = _component_witness(domain, verts, guiding.indices)
+    if split is not None:
+        return FeasibilityCheck(False, split)
     if len(verts) == 1:
         return FeasibilityCheck(True, None)
-    dist = _pair_distances(domain, verts)
     iu = np.triu_indices(len(verts), k=1)
-    d = dist[iu]
+    d = _pair_distances(domain, verts)[iu]
     gap = np.abs(guiding.indices[iu[0]] - guiding.indices[iu[1]])
-    unreachable = d == UNREACHABLE
-    if unreachable.any():
-        j = np.nonzero(unreachable)[0][0]
-        a, b = int(iu[0][j]), int(iu[1][j])
-        return FeasibilityCheck(False, Witness(
-            int(verts[a]), int(verts[b]), UNREACHABLE, int(gap[j])))
     violation = gap - d
     worst = int(np.argmax(violation))
     if violation[worst] > 0:
@@ -316,7 +321,8 @@ def envelopes(domain: Domain, guiding: GuidingSet, n: int) -> EnvelopePair:
 
     U(p) = min(n, min_j (i_j + d(p, x_j))) and
     L(p) = max(1, max_j (i_j - d(p, x_j))), each via one multi-source
-    sweep.  Guiding points that cannot reach p impose no constraint.
+    sweep.  Guiding points that cannot reach p do not bound it there, but
+    still make the pair infeasible, as in :func:`check_feasibility`.
     Clamping to [1, n] cannot break feasibility: guiding indices lie in
     [1, n], so U >= 1 and L <= n hold before clamping, and clamping only
     moves a bound toward the valid band without crossing the other bound.
@@ -332,7 +338,8 @@ def envelopes(domain: Domain, guiding: GuidingSet, n: int) -> EnvelopePair:
     lower_raw = -min_offset_sweep(domain, verts, -guiding.indices)
     upper = np.minimum(upper_raw, n)
     lower = np.maximum(lower_raw, 1)
-    return EnvelopePair(lower=lower, upper=upper)
+    return EnvelopePair(lower=lower, upper=upper,
+                        _connected=_component_witness(domain, verts) is None)
 
 
 _POLICIES = ("midpoint", "lower", "upper")
@@ -342,19 +349,19 @@ def gvf_extend(domain: Domain, guiding: GuidingSet, table: LevelTable,
                policy: str = "midpoint") -> LevelField:
     """Construct a gradually varied extension of the guiding indices.
 
-    Runs the pairwise feasibility test first (raising InfeasibleError
-    with the worst witness pair on failure), then assigns each vertex a
-    value inside its envelope interval: floor((L + U) / 2) for the
-    midpoint policy, or the L / U bound itself.  All three selectors are
-    1-Lipschitz, so the result is gradually varied by construction; at
-    guiding vertices L = U = the guiding index, so interpolation is exact.
+    Decides feasibility from the envelopes; only on failure does it run
+    :func:`check_feasibility`, to raise InfeasibleError with its witness.
+    Each vertex gets a value inside its envelope interval:
+    floor((L + U) / 2) for the midpoint policy, or the L / U bound itself.
+    All three selectors are 1-Lipschitz, so the result is gradually
+    varied by construction; at guiding vertices L = U = the guiding
+    index, so interpolation is exact.
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}")
-    verdict = check_feasibility(domain, guiding)
-    if not verdict.feasible:
-        raise InfeasibleError(verdict.witness)
     env = envelopes(domain, guiding, table.count)
+    if not env.feasible:
+        raise InfeasibleError(check_feasibility(domain, guiding).witness)
     if policy == "midpoint":
         idx = (env.lower + env.upper) // 2
     elif policy == "lower":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .domain import Domain, GridSpec, build_grid
 from .fields import ScalarField
-from .gvf import fit_gvf, to_scalar
+from .gvf import _sample_arrays, fit_gvf, to_scalar
 
 
 @dataclass(frozen=True)
@@ -68,19 +68,12 @@ def harmonic_relax(field: ScalarField, fixed: Mapping[int, float],
     value stays inside [min, max] of the fixed values and initial free
     values, since means cannot escape that band.
     """
-    if not fixed:
-        raise ValueError("fixed set must be nonempty")
+    domain = field.domain
+    fixed_verts, fixed_vals = _sample_arrays(domain, fixed, "fixed")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    domain = field.domain
-    fixed_verts = np.array(sorted(fixed), dtype=np.int64)
-    if (fixed_verts < 0).any() or (fixed_verts >= domain.vertex_count).any():
-        raise ValueError("fixed vertex id out of range")
-    fixed_vals = np.array([fixed[int(v)] for v in fixed_verts], dtype=np.float64)
-    if not np.isfinite(fixed_vals).all():
-        raise ValueError("fixed values must be finite")
 
     free = np.ones(domain.vertex_count, dtype=bool)
     free[fixed_verts] = False

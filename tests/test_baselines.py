@@ -166,6 +166,18 @@ class TestMls:
         two = SamplePoints(xy=[[1000.0, 0.0], [1100.0, 0.0]], values=[4.0, 9.0])
         assert mls_fit((0.0, 0.0), two, cfg).value == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_gaussian_square_overflow_keeps_nearest_sample(self, degree):
+        # (d / scale)^2 overflows past about 1.3e154 * scale, so every log
+        # weight is -inf; the nearest sample still weighs 1 and the other,
+        # whose relative weight is exp(-3e320), weighs 0.  The suite turns
+        # RuntimeWarnings into errors, so this also runs without one.
+        sp = SamplePoints(xy=[[1e160, 0.0], [2e160, 0.0]], values=[1.0, 2.0])
+        lw = GaussianWeight(1.0).log_weight(np.array([1e160, 2e160]))
+        assert np.isneginf(lw).all()
+        r = mls_fit((0, 0), sp, MlsConfig(degree, GaussianWeight(1.0)))
+        assert r.value == 1.0 and r.rank == 1
+
     def test_rank_rule_counts_only_dominating_samples(self):
         # Three nearly collinear sites lie where d^-400 overflows, so the
         # fit restricts to them; their smallest singular value is above

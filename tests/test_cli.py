@@ -93,6 +93,13 @@ class TestFit:
         assert run["command"] == "fit" and run["domain"]["grid"] == "4x4"
         assert capsys.readouterr().out.count("wrote ") == 6
 
+    def test_seed_flag_is_gone(self, corner_samples, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(grid_args(corner_samples, out, "--seed", "1")) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert main(grid_args(corner_samples, out)) == 0
+        assert "seed" not in json.loads((out / "run.json").read_text())
+
     def test_truth_adds_error_metrics(self, corner_samples, tmp_path):
         truth = tmp_path / "truth.csv"
         write_scalar_csv(truth, np.linspace(0.0, 3.0, 16))
@@ -160,6 +167,23 @@ class TestFit:
                             "--delta", "0.4"))
         assert rc == 2
         assert capsys.readouterr().err.startswith("infeasible:")
+
+    def test_disconnected_samples_exit_two(self, tmp_path, capsys):
+        edges = tmp_path / "g.txt"
+        edges.write_text("vertices 4\n0 1\n2 3\n")
+        samples = tmp_path / "s.csv"
+        samples.write_text("vertex,value\n0,0.0\n3,1.0\n")
+        base = ["--edges", str(edges), "--samples", str(samples)]
+        assert main(["check", *base, "--delta", "1"]) == 2
+        assert capsys.readouterr().out == \
+            "infeasible: vertices 0 and 3: distance unreachable, index gap 1\n"
+        out = str(tmp_path / "out")
+        assert main(["fit", *base, "--delta", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            "infeasible: vertices 0 and 3: distance unreachable, index gap 1\n"
+        assert main(["fit", *base, "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            "infeasible: vertices 0 and 3: distance unreachable, index gap ?\n"
 
     def test_edge_list_domain_skips_renders(self, tmp_path):
         edges = tmp_path / "g.txt"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradvar import (UNREACHABLE, Domain, GridSpec, bfs_distances, build_graph,
-                     build_grid, load_mesh, subdomain)
+                     build_grid, load_mesh)
 
 from checks import python_bfs
 
@@ -110,8 +110,7 @@ class TestDomainLayout:
         assert build_grid(g)._grid == g
         mesh = tmp_path / "m.obj"
         mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
-        for d in (Domain(3, [(0, 1)]), build_graph([(0, 1)], 2), load_mesh(mesh),
-                  subdomain(build_grid(g), [0, 1, 3])[0]):
+        for d in (Domain(3, [(0, 1)]), build_graph([(0, 1)], 2), load_mesh(mesh)):
             assert d._grid is None
 
 
@@ -276,34 +275,3 @@ class TestLoadMesh:
                      "f 1 2 3\nf 1 2 3 0\nf 9 2 3\n")
         with pytest.raises(ValueError, match="line 6: face index out of range"):
             load_mesh(p)
-
-
-class TestSubdomain:
-    def test_induced_edges_and_ids(self):
-        g = GridSpec(3, 3)
-        d = build_grid(g)
-        keep = [0, 1, 2, 4]
-        sub, m = subdomain(d, keep)
-        assert sub.vertex_count == 4
-        assert m.old_of_new.tolist() == [0, 1, 2, 4]
-        # kept edges: (0,1), (1,2), (1,4)
-        assert sorted(sub.edges()) == [(0, 1), (1, 2), (1, 3)]
-        assert m.new_of_old[4] == 3 and m.new_of_old[5] == -1
-
-    def test_restrict_embed_round_trip(self):
-        d = build_grid(GridSpec(4, 1))
-        sub, m = subdomain(d, [1, 3])
-        vals = np.array([10.0, 11.0, 12.0, 13.0])
-        r = m.restrict(vals)
-        assert r.tolist() == [11.0, 13.0]
-        back = m.embed(r, fill=0.0)
-        assert back.tolist() == [0.0, 11.0, 0.0, 13.0]
-
-    def test_coords_carried(self):
-        d = build_grid(GridSpec(3, 1, spacing=2.0))
-        sub, _ = subdomain(d, [2])
-        assert sub.coords[0].tolist() == [4.0, 0.0]
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError):
-            subdomain(path_domain(3), [])

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gradvar import (UNREACHABLE, GridSpec, GuidingSet, InfeasibleError,
                      LevelField, LevelTable, bfs_distances, build_graph,
                      build_grid, check_feasibility, envelopes, fit_gvf,
-                     gvf_extend, lipschitz_delta, quantize, to_scalar)
+                     gvf_extend, lipschitz_delta, load_mesh, quantize,
+                     to_scalar)
 
+from gradvar import gvf
 from gradvar.gvf import _pair_distances
 
 from checks import gradual_variation_ok, python_bfs
@@ -17,19 +19,6 @@ def path_domain(n):
 
 
 class TestLevelTable:
-    def test_levels(self):
-        t = LevelTable(base=2.0, delta=0.5, count=4)
-        assert t.level(1) == 2.0
-        assert t.level(4) == 3.5
-        assert t.levels_array().tolist() == [2.0, 2.5, 3.0, 3.5]
-
-    def test_out_of_range_index(self):
-        t = LevelTable(base=0.0, delta=1.0, count=2)
-        with pytest.raises(ValueError):
-            t.level(0)
-        with pytest.raises(ValueError):
-            t.level(3)
-
     @pytest.mark.parametrize("kwargs", [
         dict(base=0.0, delta=0.0, count=1),
         dict(base=0.0, delta=-1.0, count=1),
@@ -126,7 +115,7 @@ class TestQuantize:
     def test_snaps_to_nearest_available_level(self, values, delta):
         d = path_domain(len(values))
         t, g = quantize(d, dict(enumerate(values)), delta)
-        table = t.levels_array()
+        table = t.base + np.arange(t.count) * t.delta
         for raw, idx in zip(g.raw_values, g.indices):
             # independent route: scan the whole table, ties to lower index
             gaps = np.abs(table - raw)
@@ -402,6 +391,7 @@ class TestProperties:
         grid, samples = case
         d = build_grid(grid)
         delta = lipschitz_delta(d, samples) * shrink
+        assume(delta > 0)  # a subnormal spacing times shrink can underflow
         table, gd = quantize(d, samples, delta)
         pairwise = check_feasibility(d, gd).feasible
         env = envelopes(d, gd, table.count)
@@ -450,9 +440,197 @@ class TestGridMetric:
         assert p._grid is None
         delta = lipschitz_delta(d, samples)
         assert lipschitz_delta(p, samples) == delta
+        assume(delta * shrink > 0)  # a subnormal spacing can underflow
         table, gd = quantize(d, samples, delta * shrink)
         assert check_feasibility(d, gd) == check_feasibility(p, gd)
         a, b = fit_gvf(d, samples), fit_gvf(p, samples)
         assert a.delta == b.delta
         assert a.field.idx.tolist() == b.field.idx.tolist()
         assert to_scalar(a.field).values.tolist() == to_scalar(b.field).values.tolist()
+
+
+def component_graph(rng, sizes):
+    """A random edge-list graph of connected pieces of the given sizes.
+
+    Each piece is a random tree plus a few chords, vertex ids shuffled;
+    returns the domain and its adjacency lists.
+    """
+    total = int(sum(sizes))
+    perm = rng.permutation(total)
+    edges, start = [], 0
+    for size in sizes:
+        ids = perm[start:start + size]
+        for k in range(1, size):
+            edges.append((ids[k], ids[rng.integers(0, k)]))
+        for _ in range(int(rng.integers(0, size))):
+            a, b = rng.choice(ids, size=2)
+            if a != b:
+                edges.append((a, b))
+        start += size
+    domain = build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), total)
+    return domain, domain.adjacency_lists()
+
+
+def random_guiding(rng, verts, n):
+    idx = rng.integers(1, n + 1, size=len(verts))
+    return GuidingSet.from_maps({int(v): int(i) for v, i in zip(verts, idx)},
+                                {int(v): float(i) for v, i in zip(verts, idx)})
+
+
+def scan_verdict(adjacency, guiding):
+    """The pairwise rule by a plain scan: the first unreachable pair in
+    row-major order, else the first pair of maximal violation."""
+    verts, idx = guiding.vertices.tolist(), guiding.indices.tolist()
+    pairs = [(a, b) for a in range(len(verts)) for b in range(a + 1, len(verts))]
+    dist = {a: python_bfs(adjacency, [verts[a]]) for a in range(len(verts))}
+    for a, b in pairs:
+        if dist[a][verts[b]] == UNREACHABLE:
+            return False, (verts[a], verts[b], UNREACHABLE, abs(idx[a] - idx[b]))
+    best = None
+    for a, b in pairs:
+        d, gap = dist[a][verts[b]], abs(idx[a] - idx[b])
+        if gap - d > 0 and (best is None or gap - d > best[3] - best[2]):
+            best = (verts[a], verts[b], d, gap)
+    return best is None, best
+
+
+class TestComponentRule:
+    """Guiding vertices in different components are infeasible, and the
+    envelope verdict says so too."""
+
+    def test_two_components_envelopes_agree(self):
+        d = build_graph([(0, 1), (2, 3)], 4)
+        g = GuidingSet.from_maps({0: 1, 3: 1}, {0: 0.0, 3: 0.0})
+        chk = check_feasibility(d, g)
+        env = envelopes(d, g, 1)
+        assert chk.feasible is False and env.feasible is False
+        assert chk.witness == (0, 3, UNREACHABLE, 0)
+        # each component is still bounded by its own guiding point
+        assert (env.lower <= env.upper).all()
+
+    def test_guiding_in_one_component_of_several(self):
+        d = build_graph([(0, 1), (2, 3)], 5)
+        g = GuidingSet.from_maps({2: 1, 3: 2}, {2: 0.0, 3: 1.0})
+        assert check_feasibility(d, g).feasible
+        assert envelopes(d, g, 2).feasible
+        assert gvf_extend(d, g, LevelTable(0.0, 1.0, 2)).idx[[2, 3]].tolist() == [1, 2]
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_component_graphs(self, parts, seed):
+        rng = np.random.default_rng([seed, parts])
+        for _ in range(40):
+            d, adj = component_graph(rng, rng.integers(1, 6, size=parts))
+            n = int(rng.integers(1, 5))
+            count = int(rng.integers(1, min(d.vertex_count, 5) + 1))
+            verts = rng.choice(d.vertex_count, size=count, replace=False)
+            g = random_guiding(rng, verts, n)
+            feasible, witness = scan_verdict(adj, g)
+            chk = check_feasibility(d, g)
+            assert chk.feasible == feasible
+            assert chk.witness == witness
+            assert envelopes(d, g, n).feasible == feasible
+
+    def test_lipschitz_delta_names_first_split_pair(self):
+        d = build_graph([(0, 1), (2, 3), (4, 5)], 6)
+        with pytest.raises(InfeasibleError, match="2 and 4 lie") as exc:
+            lipschitz_delta(d, {5: 0.0, 4: 1.0, 2: 2.0})
+        assert exc.value.witness == (2, 4, UNREACHABLE, None)
+
+
+def mesh_domain(tmp_path, rng, w=7, h=6):
+    """A w x h triangle mesh OBJ with random diagonals, loaded back."""
+    lines = [f"v {c + rng.uniform(-0.3, 0.3)!r} {r + rng.uniform(-0.3, 0.3)!r} 0"
+             for r in range(h) for c in range(w)]
+    for r in range(h - 1):
+        for c in range(w - 1):
+            a, b = r * w + c + 1, r * w + c + 2
+            p, q = a + w, b + w
+            if rng.integers(2):
+                lines += [f"f {a} {b} {q}", f"f {a} {q} {p}"]
+            else:
+                lines += [f"f {a} {b} {p}", f"f {b} {q} {p}"]
+    path = tmp_path / f"mesh{w}x{h}.obj"
+    path.write_text("\n".join(lines) + "\n")
+    return load_mesh(path)
+
+
+def domains_of_every_kind(tmp_path, rng):
+    grid = build_grid(GridSpec(7, 6))
+    return [grid, build_grid(GridSpec(7, 6, connectivity="eight")),
+            mesh_domain(tmp_path, rng), plain_copy(grid),
+            component_graph(rng, [40])[0]]
+
+
+class TestExtendWitness:
+    """gvf_extend decides from its envelopes and runs the pairwise test only
+    to name the witness of an infeasible fit."""
+
+    @pytest.fixture
+    def counted_check(self, monkeypatch):
+        calls = []
+
+        def counting(domain, guiding, check=gvf.check_feasibility):
+            calls.append(guiding)
+            return check(domain, guiding)
+
+        monkeypatch.setattr(gvf, "check_feasibility", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_raises_the_pairwise_witness(self, tmp_path, seed, counted_check):
+        rng = np.random.default_rng(seed)
+        infeasible = 0
+        for d in domains_of_every_kind(tmp_path, rng):
+            for _ in range(12):
+                count = int(rng.integers(2, min(d.vertex_count, 7) + 1))
+                verts = rng.choice(d.vertex_count, size=count, replace=False)
+                samples = {int(v): float(x) for v, x in
+                           zip(verts, rng.uniform(-3, 3, count))}
+                delta = lipschitz_delta(d, samples) * rng.uniform(0.2, 1.0)
+                table, gd = quantize(d, samples, delta)
+                chk = check_feasibility(d, gd)
+                counted_check.clear()
+                if chk.feasible:
+                    gvf_extend(d, gd, table)
+                    assert counted_check == []
+                    continue
+                infeasible += 1
+                with pytest.raises(InfeasibleError) as exc:
+                    gvf_extend(d, gd, table)
+                assert exc.value.witness == chk.witness
+                assert str(exc.value) == f"infeasible guiding data: {chk.witness.describe()}"
+                assert len(counted_check) == 1
+        assert infeasible > 10
+
+    def test_disconnected_fit_raises_unreachable_witness(self, counted_check):
+        d = build_graph([(0, 1), (2, 3)], 4)
+        t = LevelTable(base=0.0, delta=1.0, count=2)
+        gd = GuidingSet.from_maps({0: 1, 3: 2}, {0: 0.0, 3: 1.0})
+        with pytest.raises(InfeasibleError) as exc:
+            gvf_extend(d, gd, t)
+        assert exc.value.witness == (0, 3, UNREACHABLE, 1)
+        assert len(counted_check) == 1
+
+
+class TestPairDistancesOncePerFit:
+    @pytest.fixture
+    def pair_calls(self, monkeypatch):
+        calls = []
+
+        def counting(domain, vertices, pairs=gvf._pair_distances):
+            calls.append(len(vertices))
+            return pairs(domain, vertices)
+
+        monkeypatch.setattr(gvf, "_pair_distances", counting)
+        return calls
+
+    def test_auto_delta_fit_on_mesh(self, tmp_path, pair_calls):
+        d = mesh_domain(tmp_path, np.random.default_rng(4))
+        fit = fit_gvf(d, {0: 0.0, 20: 1.5, 41: -0.5})
+        assert pair_calls == [3]
+        assert gradual_variation_ok(d.adjacency_lists(), fit.field.idx)
+
+    def test_explicit_delta_fit_on_edge_list(self, pair_calls):
+        fit_gvf(path_domain(6), {0: 0.0, 5: 1.0}, delta=0.5)
+        assert pair_calls == []
