@@ -234,7 +234,11 @@ def _mls_rows(q: np.ndarray, samples: SamplePoints,
     spread = np.sqrt(np.einsum("ck,ck->c", w, sq) / total)
     scale = np.where(spread > 0, spread, 1.0)
     root_w = np.sqrt(w)
-    a = _basis(offset / scale[:, None, None], config.degree) * root_w[:, :, None]
+    # A zero-weight sample's basis is taken at a zero of its offset's sign, not
+    # at the offset, whose square may overflow; its row is the same signed 0s.
+    scaled = np.divide(offset, scale[:, None, None], out=np.copysign(0.0, offset),
+                       where=(w > 0)[:, :, None])
+    a = _basis(scaled, config.degree) * root_w[:, :, None]
     b = vals * root_w
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     # lstsq's rcond=None rule, with k the rows left after dominance.
@@ -244,7 +248,10 @@ def _mls_rows(q: np.ndarray, samples: SamplePoints,
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     coef = np.einsum("crm,cr->cm", vh, np.einsum("ckr,ck->cr", u, b) * inv)
     uq = (q - centroid) / scale[:, None]
-    value = np.einsum("cm,cm->c", _basis(uq, config.degree), coef)
+    with np.errstate(over="ignore"):  # far queries; inf * 0 terms are dropped
+        bq = _basis(uq, config.degree)
+    bq[np.isinf(bq) & (coef == 0)] = 0.0
+    value = np.einsum("cm,cm->c", bq, coef)
     return value, keep.sum(axis=1)
 
 

@@ -145,9 +145,8 @@ CSV_HEADER = ("trial,generator,method,rmse,max_abs_error,tv_gradient,"
               "fallback_count,gvf_error_bound,error")
 
 
-def _run_method(method: str, case: BenchCase, grid: GridSpec, domain: Domain,
-                mls_degree: int, mls_weight, shepard_power: float,
-                iters: int, tol: float):
+def _run_method(method: str, case: BenchCase, domain: Domain, mls_degree: int,
+                mls_weight, shepard_power: float, iters: int, tol: float):
     """Returns (field, fallback_count, bound or None)."""
     if method == "gvf":
         fit = fit_gvf(domain, case.sample_map)
@@ -187,8 +186,8 @@ def run_bench(grid: GridSpec, generators, methods, trials: int, count: int,
             for method in methods:
                 try:
                     field, fallbacks, bound = _run_method(
-                        method, case, grid, domain, mls_degree, weight,
-                        shepard_power, iters, tol)
+                        method, case, domain, mls_degree, weight, shepard_power,
+                        iters, tol)
                     m = compute_metrics(field, case.truth, grid=grid)
                     rows.append(BenchRow(trial, gen, method, m.rmse,
                                          m.max_abs_error, m.tv_gradient,

@@ -24,10 +24,9 @@ from .fileio import (read_edge_list, read_field_csv, read_samples_csv,
                      write_metrics_json, write_scalar_csv)
 from .gvf import InfeasibleError, check_feasibility, fit_gvf, lipschitz_delta, \
     quantize, to_scalar
-from .metrics import compute_metrics
+from .metrics import _tv_gradient, compute_metrics
 from .render import render_heatmap, render_heightmesh, render_pgm16
-from .smoothing import (discrete_gradient, harmonic_relax, smooth_reconstruct,
-                        total_variation)
+from .smoothing import harmonic_relax, smooth_reconstruct
 
 
 class _UsageError(Exception):
@@ -106,10 +105,12 @@ def _parse_weight(text: str):
                      f"invpow:power[,epsilon]")
 
 
-def _load_samples(args, domain: Domain, grid: GridSpec | None):
-    parsed = read_samples_csv(args.samples)
-    vmap = snap_to_vertices(parsed, grid, domain)
-    return parsed, vmap
+def _read_field(path, domain: Domain, mismatch: str) -> ScalarField:
+    """Load a field CSV onto ``domain``; raise ``mismatch`` on a length mismatch."""
+    values = read_field_csv(path).values
+    if len(values) != domain.vertex_count:
+        raise ValueError(mismatch)
+    return ScalarField(domain=domain, values=values)
 
 
 def _domain_description(args) -> dict:
@@ -123,7 +124,7 @@ def _domain_description(args) -> dict:
 
 def cmd_check(args) -> int:
     domain, grid = _resolve_domain(args)
-    _, vmap = _load_samples(args, domain, grid)
+    vmap = snap_to_vertices(read_samples_csv(args.samples), grid, domain)
     delta = _parse_delta(args.delta)
     if delta is None:
         delta = lipschitz_delta(domain, vmap)
@@ -150,18 +151,15 @@ def _write_renders(field: ScalarField, grid: GridSpec, out: str) -> list[str]:
 
 def cmd_fit(args) -> int:
     domain, grid = _resolve_domain(args)
-    parsed, vmap = _load_samples(args, domain, grid)
+    parsed = read_samples_csv(args.samples)
+    vmap = snap_to_vertices(parsed, grid, domain)
     delta = _parse_delta(args.delta)
     os.makedirs(args.out, exist_ok=True)
-    written = []
     extra: dict = {}
 
     if args.method == "gvf":
         fit = fit_gvf(domain, vmap, delta=delta, policy=args.policy)
         scalar = to_scalar(fit.field)
-        path = os.path.join(args.out, "field.csv")
-        write_level_csv(path, fit.field)
-        written.append(path)
         extra["delta"] = fit.delta
     elif args.method == "smooth":
         scalar = smooth_reconstruct(domain, vmap, order=args.order,
@@ -186,26 +184,23 @@ def cmd_fit(args) -> int:
     else:
         raise ValueError(f"unknown method {args.method!r}")
 
-    if args.method != "gvf":
-        path = os.path.join(args.out, "field.csv")
-        write_scalar_csv(path, scalar.values)
-        written.append(path)
+    written = [os.path.join(args.out, "field.csv")]
+    if args.method == "gvf":
+        write_level_csv(written[0], fit.field)
+    else:
+        write_scalar_csv(written[0], scalar.values)
     if grid is not None:
         written.extend(_write_renders(scalar, grid, args.out))
 
     payload = {"method": args.method, **extra}
     if args.truth:
-        truth_csv = read_field_csv(args.truth)
-        if len(truth_csv.values) != domain.vertex_count:
-            raise ValueError("truth field length does not match the domain")
-        truth = ScalarField(domain=domain, values=truth_csv.values)
+        truth = _read_field(args.truth, domain,
+                            "truth field length does not match the domain")
         m = compute_metrics(scalar, truth, grid=grid)
         payload.update(rmse=m.rmse, max_abs_error=m.max_abs_error,
                        tv_gradient=m.tv_gradient)
     else:
-        smoothness_of = discrete_gradient(scalar, grid) if grid is not None \
-            else scalar
-        payload["tv_gradient"] = total_variation(smoothness_of)
+        payload["tv_gradient"] = _tv_gradient(scalar, grid)
     metrics_path = os.path.join(args.out, "metrics.json")
     write_metrics_json(metrics_path, payload)
     written.append(metrics_path)
@@ -250,11 +245,8 @@ def cmd_render(args) -> int:
     if not args.grid:
         raise ValueError("render needs a grid domain; pass --grid WxH")
     grid = _parse_grid(args.grid, args.connectivity, args.spacing)
-    domain = build_grid(grid)
-    csv = read_field_csv(args.field)
-    if len(csv.values) != domain.vertex_count:
-        raise ValueError("field length does not match the grid")
-    field = ScalarField(domain=domain, values=csv.values)
+    field = _read_field(args.field, build_grid(grid),
+                        "field length does not match the grid")
     os.makedirs(args.out, exist_ok=True)
     for path in _write_renders(field, grid, args.out):
         print(f"wrote {path}")

@@ -138,8 +138,8 @@ class GridSpec:
             raise ValueError("grid width and height must be positive")
         if self.connectivity not in ("four", "eight"):
             raise ValueError("connectivity must be 'four' or 'eight'")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError("spacing must be positive and finite")
 
     @property
     def vertex_count(self) -> int:
@@ -184,9 +184,7 @@ def build_grid(spec: GridSpec) -> Domain:
     if spec.connectivity == "eight":
         parts.append(np.stack([idx[:-1, :-1].ravel(), idx[1:, 1:].ravel()], axis=1))
         parts.append(np.stack([idx[:-1, 1:].ravel(), idx[1:, :-1].ravel()], axis=1))
-    edges = np.vstack([p for p in parts if p.size]) if any(p.size for p in parts) \
-        else np.empty((0, 2), dtype=np.int64)
-    domain = Domain(w * h, edges, coords=spec.coords_array())
+    domain = Domain(w * h, np.vstack(parts), coords=spec.coords_array())
     domain._grid = spec
     return domain
 
@@ -199,6 +197,16 @@ def build_graph(edges: Iterable[tuple[int, int]], vertex_count: int,
     ids raise ``ValueError``.
     """
     return Domain(vertex_count, edges, coords=coords)
+
+
+def _records(path, sep=None) -> Iterator[tuple[int, list[str]]]:
+    """Yield (file line number, fields) for each non-blank line of a text file,
+    after dropping any ``#`` comment; fields split on whitespace, or on ``sep``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.partition("#")[0].strip()
+            if line:
+                yield lineno, line.split(sep)
 
 
 def load_mesh(path) -> Domain:
@@ -214,36 +222,31 @@ def load_mesh(path) -> Domain:
     corners: list[int] = []      # every face's 1-based indices, in file order
     sizes: list[int] = []        # 3 or 4 corners per face
     face_lines: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            kind = tokens[0]
-            if kind == "v":
-                if len(tokens) != 4:
-                    raise ValueError(
-                        f"{path}: line {lineno}: vertex record needs 3 coordinates")
-                try:
-                    x, y, _z = (float(t) for t in tokens[1:])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: non-numeric vertex coordinate") from None
-                verts.append((x, y))
-            elif kind == "f":
-                if len(tokens) not in (4, 5):
-                    raise ValueError(
-                        f"{path}: line {lineno}: faces must be triangles or quads")
-                try:
-                    ids = [int(t.split("/", 1)[0]) for t in tokens[1:]]
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: non-integer face index") from None
-                corners.extend(ids)
-                sizes.append(len(ids))
-                face_lines.append(lineno)
-            # Anything else (vn, vt, o, g, ...) is outside the subset; skip.
+    for lineno, tokens in _records(path):
+        kind = tokens[0]
+        if kind == "v":
+            if len(tokens) != 4:
+                raise ValueError(
+                    f"{path}: line {lineno}: vertex record needs 3 coordinates")
+            try:
+                x, y, _z = (float(t) for t in tokens[1:])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: non-numeric vertex coordinate") from None
+            verts.append((x, y))
+        elif kind == "f":
+            if len(tokens) not in (4, 5):
+                raise ValueError(
+                    f"{path}: line {lineno}: faces must be triangles or quads")
+            try:
+                ids = [int(t.split("/", 1)[0]) for t in tokens[1:]]
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: non-integer face index") from None
+            corners.extend(ids)
+            sizes.append(len(ids))
+            face_lines.append(lineno)
+        # Anything else (vn, vt, o, g, ...) is outside the subset; skip.
     if not verts:
         raise ValueError(f"{path}: no vertices found")
     n = len(verts)

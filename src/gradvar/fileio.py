@@ -15,11 +15,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Domain, GridSpec
-from .gvf import LevelField
+from .domain import Domain, GridSpec, _records
+from .gvf import LevelField, to_scalar
 
 
-def _atomic_write(path, data: bytes) -> None:
+def atomic_write_bytes(path, data: bytes) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
@@ -36,12 +36,8 @@ def _atomic_write(path, data: bytes) -> None:
         raise
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    _atomic_write(path, data)
-
-
 def atomic_write_text(path, text: str) -> None:
-    _atomic_write(path, text.encode("utf-8"))
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 class ParsedSamples(NamedTuple):
@@ -57,23 +53,21 @@ class ParsedSamples(NamedTuple):
 
 def read_samples_csv(path) -> ParsedSamples:
     """Parse a sample CSV; the header line selects the flavor."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    records = _records(path, ",")
+    _, header = next(records, (0, None))
+    if header is None:
         raise ValueError(f"{path}: empty sample file")
-    header = [h.strip().lower() for h in lines[0].split(",")]
-    if header == ["x", "y", "value"]:
+    names = [h.strip().lower() for h in header]
+    if names == ["x", "y", "value"]:
         kind, ncol = "xy", 3
-    elif header == ["vertex", "value"]:
+    elif names == ["vertex", "value"]:
         kind, ncol = "vertex", 2
     else:
         raise ValueError(
             f"{path}: header must be 'x,y,value' or 'vertex,value', "
-            f"got {lines[0]!r}")
+            f"got {','.join(header)!r}")
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in ln.split(",")]
+    for lineno, parts in records:
         if len(parts) != ncol:
             raise ValueError(f"{path}: line {lineno}: expected {ncol} columns")
         try:
@@ -83,9 +77,8 @@ def read_samples_csv(path) -> ParsedSamples:
     if not rows:
         raise ValueError(f"{path}: no sample rows")
     arr = np.asarray(rows, dtype=np.float64)
-    if kind == "vertex":
-        if not (arr[:, 0] == np.rint(arr[:, 0])).all():
-            raise ValueError(f"{path}: vertex ids must be integers")
+    if kind == "vertex" and not (arr[:, 0] == np.rint(arr[:, 0])).all():
+        raise ValueError(f"{path}: vertex ids must be integers")
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: samples must be finite")
     return ParsedSamples(kind=kind, rows=arr)
@@ -116,18 +109,12 @@ def snap_to_vertices(parsed: ParsedSamples, grid: GridSpec | None,
         values = parsed.rows[:, 1]
     out: dict[int, float] = {}
     counts: dict[int, int] = {}
-    merged = []
     for v, val in zip(verts.tolist(), values.tolist()):
-        if v in out:
-            counts[v] += 1
-            out[v] += (val - out[v]) / counts[v]
-            merged.append(v)
-        else:
-            out[v] = val
-            counts[v] = 1
-    if merged:
+        counts[v] = counts.get(v, 0) + 1
+        out[v] = out[v] + (val - out[v]) / counts[v] if v in out else val
+    if len(out) < len(verts):
         warnings.warn(
-            f"{len(merged)} sample row(s) landed on already-occupied "
+            f"{len(verts) - len(out)} sample row(s) landed on already-occupied "
             f"vertices; merged by mean", stacklevel=2)
     return out
 
@@ -143,21 +130,22 @@ def sample_coords(parsed: ParsedSamples, domain: Domain) -> np.ndarray:
     return np.column_stack([domain.coords[verts], parsed.rows[:, 1]])
 
 
+def _write_field_csv(path, header: str, keys, values) -> None:
+    """The header, then one `key,value` row per vertex with value by repr."""
+    rows = [f"{k},{v!r}" for k, v in zip(keys, values.tolist())]
+    atomic_write_text(path, "\n".join([header, *rows]) + "\n")
+
+
 def write_level_csv(path, field: LevelField) -> None:
     """Export a level field as `vertex,index,value` rows."""
-    table = field.table
-    lines = ["vertex,index,value"]
-    for v, i in enumerate(field.idx.tolist()):
-        lines.append(f"{v},{i},{table.base + (i - 1) * table.delta!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    keys = [f"{v},{i}" for v, i in enumerate(field.idx.tolist())]
+    _write_field_csv(path, "vertex,index,value", keys, to_scalar(field).values)
 
 
 def write_scalar_csv(path, values: np.ndarray) -> None:
     """Export per-vertex values as `vertex,value` rows."""
-    lines = ["vertex,value"]
-    for v, val in enumerate(np.asarray(values, dtype=np.float64).tolist()):
-        lines.append(f"{v},{val!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    values = np.asarray(values, dtype=np.float64)
+    _write_field_csv(path, "vertex,value", range(len(values)), values)
 
 
 class FieldCsv(NamedTuple):
@@ -167,28 +155,38 @@ class FieldCsv(NamedTuple):
 
 
 def read_field_csv(path) -> FieldCsv:
-    """Re-import a field CSV written by this package, losslessly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+    """Re-import a field CSV written by this package, losslessly.
+
+    Its vertex column must run 0..N-1 in order; the first row that breaks
+    this, or holds a non-numeric entry, raises naming its file line.
+    """
+    records = _records(path, ",")
+    _, header = next(records, (0, None))
+    if header is None:
         raise ValueError(f"{path}: empty field file")
-    header = [h.strip().lower() for h in lines[0].split(",")]
-    if header == ["vertex", "index", "value"]:
+    names = [h.strip().lower() for h in header]
+    if names == ["vertex", "index", "value"]:
         with_index = True
-    elif header == ["vertex", "value"]:
+    elif names == ["vertex", "value"]:
         with_index = False
     else:
-        raise ValueError(f"{path}: unrecognized field CSV header {lines[0]!r}")
-    verts, idxs, vals = [], [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
+        raise ValueError(
+            f"{path}: unrecognized field CSV header {','.join(header)!r}")
+    idxs, vals = [], []
+    for lineno, parts in records:
         if len(parts) != (3 if with_index else 2):
             raise ValueError(f"{path}: line {lineno}: wrong column count")
-        verts.append(int(parts[0]))
-        if with_index:
-            idxs.append(int(parts[1]))
-        vals.append(float(parts[-1]))
-    return FieldCsv(vertices=np.array(verts, dtype=np.int64),
+        try:
+            vertex = int(parts[0])
+            if with_index:
+                idxs.append(int(parts[1]))
+            vals.append(float(parts[-1]))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric entry") from None
+        if vertex != len(vals) - 1:
+            raise ValueError(f"{path}: line {lineno}: expected vertex "
+                             f"{len(vals) - 1}, got {vertex}")
+    return FieldCsv(vertices=np.arange(len(vals), dtype=np.int64),
                     values=np.array(vals, dtype=np.float64),
                     indices=np.array(idxs, dtype=np.int64) if with_index else None)
 
@@ -204,31 +202,24 @@ def read_edge_list(path) -> tuple[int, np.ndarray]:
     """Parse a plain-text graph: `vertices N` then one `a b` edge per line."""
     count = None
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+    for lineno, tokens in _records(path):
+        if count is None:
+            if len(tokens) == 2 and tokens[0].lower() == "vertices":
+                try:
+                    count = int(tokens[1])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: bad vertex count") from None
                 continue
-            tokens = line.split()
-            if count is None:
-                if len(tokens) == 2 and tokens[0].lower() == "vertices":
-                    try:
-                        count = int(tokens[1])
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: line {lineno}: bad vertex count") from None
-                    continue
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'vertices N' first")
-            if len(tokens) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'a b'")
-            try:
-                edges.append((int(tokens[0]), int(tokens[1])))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-integer vertex id") from None
+            raise ValueError(
+                f"{path}: line {lineno}: expected 'vertices N' first")
+        if len(tokens) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected 'a b'")
+        try:
+            edges.append((int(tokens[0]), int(tokens[1])))
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: non-integer vertex id") from None
     if count is None:
         raise ValueError(f"{path}: missing 'vertices N' line")
-    arr = np.asarray(edges, dtype=np.int64) if edges \
-        else np.empty((0, 2), dtype=np.int64)
-    return count, arr
+    return count, np.asarray(edges, dtype=np.int64).reshape(-1, 2)

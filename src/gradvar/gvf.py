@@ -224,14 +224,20 @@ def _component_witness(domain: Domain, verts: np.ndarray,
     return Witness(int(verts[0]), int(verts[b]), UNREACHABLE, gap)
 
 
-def lipschitz_delta(domain: Domain, samples: Mapping[int, float],
-                    zero_range_floor: float = 1e-9) -> float:
+# lipschitz_delta's spacing for all-equal samples, relative to max(1, |value|).
+_ZERO_RANGE_FLOOR = 1e-9
+# Relative width of the band around a half level that quantize treats as the
+# tie itself: a few ulps, above the rounding error of (v - base) / delta.
+_TIE_REL = 8 * np.finfo(np.float64).eps
+
+
+def lipschitz_delta(domain: Domain, samples: Mapping[int, float]) -> float:
     """Smallest level spacing that keeps the quantized samples feasible.
 
     Returns max over sample pairs of |v(x) - v(y)| / d(x, y): quantizing
     with any delta >= this value yields indices whose gaps never exceed
     the hop distance.  All-equal values would give 0, which is replaced
-    by ``zero_range_floor * max(1, |value|)`` so one level suffices.
+    by ``1e-9 * max(1, |value|)`` so one level suffices.
     Samples in different components raise InfeasibleError.  Hop distances
     come from the grid metric on :func:`build_grid` domains, else BFS.
     """
@@ -241,20 +247,13 @@ def lipschitz_delta(domain: Domain, samples: Mapping[int, float],
         raise InfeasibleError(
             split, f"sample vertices {split.vertex_a} and {split.vertex_b} "
                    f"lie in different components")
-    if verts.size == 1:
-        return zero_range_floor * max(1.0, abs(float(vals[0])))
-    iu = np.triu_indices(len(verts), k=1)
-    d = _pair_distances(domain, verts)[iu]
-    gaps = np.abs(vals[iu[0]] - vals[iu[1]])
-    star = float((gaps / d).max())
-    if star == 0.0:
-        return zero_range_floor * max(1.0, float(np.abs(vals).max()))
-    return star
-
-
-# Relative width of the band around a half level that quantize treats as the
-# tie itself: a few ulps, above the rounding error of (v - base) / delta.
-_TIE_REL = 8 * np.finfo(np.float64).eps
+    star = 0.0
+    if verts.size > 1:
+        iu = np.triu_indices(len(verts), k=1)
+        d = _pair_distances(domain, verts)[iu]
+        star = float((np.abs(vals[iu[0]] - vals[iu[1]]) / d).max())
+    floor = _ZERO_RANGE_FLOOR * max(1.0, float(np.abs(vals).max()))
+    return star if star > 0 else floor
 
 
 def quantize(domain: Domain, samples: Mapping[int, float],

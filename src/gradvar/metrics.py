@@ -32,8 +32,9 @@ def compute_metrics(field: ScalarField, truth: ScalarField,
     """Compare a field against ground truth on the same domain.
 
     tv_gradient is the total variation of the finite-difference gradient
-    when a grid is given; without grid structure the gradient stencil is
-    undefined, so the field's own total variation substitutes.
+    on a grid at least 2 wide and 2 high; without grid structure, or on a
+    one-wide grid, the gradient stencil is undefined, so the field's own
+    total variation substitutes.
     """
     if field.domain is not truth.domain and \
             field.domain.vertex_count != truth.domain.vertex_count:
@@ -41,8 +42,13 @@ def compute_metrics(field: ScalarField, truth: ScalarField,
     err = field.values - truth.values
     rmse = float(np.sqrt(np.mean(np.square(err))))
     max_abs = float(np.abs(err).max())
-    if grid is not None:
-        tv = total_variation(discrete_gradient(field, grid))
-    else:
-        tv = total_variation(field)
-    return Metrics(rmse=rmse, max_abs_error=max_abs, tv_gradient=tv)
+    return Metrics(rmse=rmse, max_abs_error=max_abs,
+                   tv_gradient=_tv_gradient(field, grid))
+
+
+def _tv_gradient(field: ScalarField, grid: GridSpec | None) -> float:
+    """The smoothness proxy: TV of the gradient, or of the field itself
+    where there is no grid or a grid side is 1 (no gradient stencil)."""
+    if grid is not None and grid.width >= 2 and grid.height >= 2:
+        return total_variation(discrete_gradient(field, grid))
+    return total_variation(field)

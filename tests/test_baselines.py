@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gradvar import (GaussianWeight, GridSpec, InversePowerWeight, MlsConfig,
                      SamplePoints, ShepardConfig, build_graph, build_grid,
                      evaluate_on_domain, mls_fit, shepard)
+from gradvar import baselines
 from gradvar.baselines import _CHUNK_CELLS
 
 from checks import oracle_mls, oracle_shepard
@@ -166,7 +167,7 @@ class TestMls:
         two = SamplePoints(xy=[[1000.0, 0.0], [1100.0, 0.0]], values=[4.0, 9.0])
         assert mls_fit((0.0, 0.0), two, cfg).value == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("degree", [0, 1])
+    @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_gaussian_square_overflow_keeps_nearest_sample(self, degree):
         # (d / scale)^2 overflows past about 1.3e154 * scale, so every log
         # weight is -inf; the nearest sample still weighs 1 and the other,
@@ -221,6 +222,39 @@ class TestMls:
             MlsConfig(degree=3)
         with pytest.raises(ValueError):
             MlsConfig(weight="not callable")
+
+
+class TestZeroWeightRows:
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_design_matrix_matches_unguarded_formula(self, monkeypatch, degree):
+        # Where every offset is finite, the design matrix must be what
+        # basis(offset / scale) * sqrt(w) gives, signed zeros of the
+        # zero-weight rows included, so the SVD and its result stay the same
+        # bit for bit.
+        rng = np.random.default_rng(4)
+        xy = rng.uniform(-20, 20, size=(30, 2))
+        sp = SamplePoints(xy=xy, values=rng.normal(size=30))
+        q = rng.uniform(-20, 20, size=(50, 2))
+        cfg = MlsConfig(degree, GaussianWeight(0.3))
+        seen = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: seen.append(a.copy()) or svd(a, **kw))
+        baselines._mls_rows(q, sp, cfg)
+        dist = np.hypot(xy[:, 0] - q[:, 0, None], xy[:, 1] - q[:, 1, None])
+        lw = cfg.weight.log_weight(dist)
+        w = np.exp(lw - lw.max(axis=1, keepdims=True))
+        total = w.sum(axis=1)
+        offset = xy[None, :, :] - ((w @ xy) / total[:, None])[:, None, :]
+        sq = np.where(w > 0, np.square(offset).sum(axis=2), 0.0)
+        spread = np.sqrt(np.einsum("ck,ck->c", w, sq) / total)
+        scale = np.where(spread > 0, spread, 1.0)
+        expect = baselines._basis(offset / scale[:, None, None], degree) \
+            * np.sqrt(w)[:, :, None]
+        assert (w == 0).any() and (np.signbit(expect) & (expect == 0)).any()
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], expect)
+        assert (np.signbit(seen[0]) == np.signbit(expect)).all()
 
 
 class TestShepard:

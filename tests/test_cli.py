@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from gradvar import read_field_csv, write_scalar_csv
+from gradvar import (GridSpec, ScalarField, build_graph, build_grid,
+                     discrete_gradient, read_field_csv, total_variation,
+                     write_scalar_csv)
 from gradvar.cli import main
 
 
@@ -68,6 +70,21 @@ class TestCheck:
         assert rc == 1
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--grid", "3by3"], "--grid wants WxH, got '3by3'"),
+        (["--grid", "ax3"], "--grid wants integers WxH, got 'ax3'"),
+        (["--grid", "4x4", "--spacing", "inf"], "spacing must be positive and finite"),
+        (["--grid", "4x4", "--spacing", "nan"], "spacing must be positive and finite"),
+        (["--grid", "4x4", "--delta", "abc"],
+         "--delta wants a number or 'auto', got 'abc'"),
+        (["--grid", "4x4", "--delta", "-1"], "--delta must be positive"),
+    ], ids=["grid-by", "grid-letter", "spacing-inf", "spacing-nan", "delta-word",
+            "delta-negative"])
+    def test_bad_values_exit_one(self, corner_samples, capsys, flags, message):
+        rc = main(["check", "--samples", corner_samples, *flags])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -117,6 +134,98 @@ class TestFit:
                             "--truth", str(truth)))
         assert rc == 1
         assert "truth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truth_rows,line", [
+        (list(range(15, -1, -1)), 2),
+        ([0, 1, 2, 2, *range(4, 16)], 5),
+    ], ids=["reversed", "repeated"])
+    def test_truth_rows_out_of_order_exit_one(self, corner_samples, tmp_path,
+                                              capsys, truth_rows, line):
+        # Each row's value is 0.2 * vertex, so only the order is wrong.
+        truth = tmp_path / "truth.csv"
+        truth.write_text("vertex,value\n" + "".join(
+            f"{v},{0.2 * v!r}\n" for v in truth_rows))
+        out = tmp_path / "out"
+        rc = main(grid_args(corner_samples, out, "--truth", str(truth)))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{truth}: line {line}: expected vertex {line - 2}" in err
+        assert not (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("size", ["5x1", "1x5"])
+    @pytest.mark.parametrize("method", ["gvf", "harmonic"])
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_one_wide_grid(self, tmp_path, size, method, with_truth):
+        # No gradient stencil: tv_gradient is the field's own variation.
+        samples = tmp_path / "s.csv"
+        samples.write_text("vertex,value\n0,0.0\n4,2.0\n")
+        out = tmp_path / "out"
+        extra = ["--method", method]
+        if with_truth:
+            write_scalar_csv(tmp_path / "t.csv", np.linspace(0.0, 2.0, 5))
+            extra += ["--truth", str(tmp_path / "t.csv")]
+        rc = main(["fit", "--grid", size, "--samples", str(samples),
+                   "--out", str(out), *extra])
+        assert rc == 0
+        assert {p.name for p in out.iterdir()} == {
+            "field.csv", "heatmap.ppm", "height.pgm", "height.obj",
+            "metrics.json", "run.json"}
+        w, h = map(int, size.split("x"))
+        field = ScalarField(domain=build_grid(GridSpec(w, h)),
+                            values=read_field_csv(out / "field.csv").values)
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["tv_gradient"] == total_variation(field)
+        assert ("rmse" in metrics) == with_truth
+
+    def test_truth_on_edge_list_domain(self, tmp_path):
+        edges = tmp_path / "g.txt"
+        edges.write_text("vertices 4\n0 1\n1 2\n2 3\n")
+        samples = tmp_path / "s.csv"
+        samples.write_text("vertex,value\n0,0.0\n3,1.5\n")
+        truth = tmp_path / "t.csv"
+        write_scalar_csv(truth, np.array([0.0, 0.4, 1.1, 1.5]))
+        out = tmp_path / "out"
+        rc = main(["fit", "--edges", str(edges), "--samples", str(samples),
+                   "--truth", str(truth), "--out", str(out)])
+        assert rc == 0
+        values = read_field_csv(out / "field.csv").values
+        field = ScalarField(domain=build_graph([(0, 1), (1, 2), (2, 3)], 4),
+                            values=values)
+        metrics = json.loads((out / "metrics.json").read_text())
+        err = values - np.array([0.0, 0.4, 1.1, 1.5])
+        assert metrics["rmse"] == float(np.sqrt(np.mean(np.square(err))))
+        assert metrics["max_abs_error"] == float(np.abs(err).max())
+        assert metrics["tv_gradient"] == total_variation(field)
+
+    def test_tv_gradient_on_wide_grid(self, corner_samples, tmp_path):
+        out = tmp_path / "out"
+        assert main(grid_args(corner_samples, out)) == 0
+        grid = GridSpec(4, 4)
+        field = ScalarField(domain=build_grid(grid),
+                            values=read_field_csv(out / "field.csv").values)
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["tv_gradient"] == \
+            total_variation(discrete_gradient(field, grid))
+
+    @pytest.mark.parametrize("weight,message", [
+        ("invpow", "invpow weight needs a power, e.g. invpow:2"),
+        ("cubic:2", "unknown weight 'cubic:2'; use gaussian[:scale] or "
+                    "invpow:power[,epsilon]"),
+    ])
+    def test_bad_weight_exit_one(self, corner_samples, tmp_path, capsys,
+                                 weight, message):
+        rc = main(grid_args(corner_samples, tmp_path / "out", "--method", "mls",
+                            "--weight", weight))
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    def test_invpow_weight_with_epsilon(self, corner_samples, tmp_path):
+        out = tmp_path / "out"
+        rc = main(grid_args(corner_samples, out, "--method", "mls",
+                            "--weight", "invpow:2,0.5"))
+        assert rc == 0
+        values = read_field_csv(out / "field.csv").values
+        assert values[0] == pytest.approx(0.0) and values[15] == pytest.approx(3.0)
 
     @pytest.mark.parametrize("method", ["smooth", "harmonic", "mls", "shepard"])
     def test_other_methods_run(self, method, corner_samples, tmp_path):
@@ -285,6 +394,16 @@ class TestRender:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "match" in capsys.readouterr().err
+
+    def test_rows_out_of_order_exit_one(self, tmp_path, capsys):
+        field = tmp_path / "f.csv"
+        field.write_text("vertex,value\n" + "".join(
+            f"{v},{float(v)!r}\n" for v in range(11, -1, -1)))
+        rc = main(["render", "--grid", "4x3", "--field", str(field),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"{field}: line 2: expected vertex 0, got 11" in \
+            capsys.readouterr().err
 
     def test_needs_grid(self, tmp_path, capsys):
         field = tmp_path / "f.csv"

@@ -131,6 +131,8 @@ class TestGridSpec:
         dict(width=0, height=3), dict(width=3, height=0),
         dict(width=3, height=3, connectivity="six"),
         dict(width=3, height=3, spacing=0.0),
+        dict(width=3, height=3, spacing=float("inf")),
+        dict(width=3, height=3, spacing=float("nan")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

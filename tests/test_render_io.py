@@ -179,6 +179,17 @@ class TestSamplesCsv:
         with pytest.raises(ValueError, match=msg):
             read_samples_csv(p)
 
+    def test_error_names_the_file_line(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("# made by hand\n\nx,y,value\n0,0,1.0\n1,1\n")
+        with pytest.raises(ValueError, match="line 5: expected 3 columns"):
+            read_samples_csv(p)
+
+    def test_inline_comments_dropped(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("vertex,value  # header\n3,0.25 # first\n#\n0,9.0\n")
+        assert read_samples_csv(p).rows.tolist() == [[3.0, 0.25], [0.0, 9.0]]
+
 
 class TestSnapping:
     def test_nearest_vertex_with_ties_up(self):
@@ -205,6 +216,16 @@ class TestSnapping:
         with pytest.warns(UserWarning, match="merged"):
             out = snap_to_vertices(parsed, grid, d)
         assert out == {4: 4.0}
+
+    def test_three_rows_merge_by_running_mean(self):
+        grid = GridSpec(3, 3)
+        d = build_grid(grid)
+        parsed = ParsedSamples(kind="xy", rows=np.array(
+            [[1.0, 1.0, 1.0], [0.0, 0.0, 7.0], [1.1, 0.9, 2.0], [0.9, 1.1, 4.0]]))
+        with pytest.warns(UserWarning, match="^2 sample row"):
+            out = snap_to_vertices(parsed, grid, d)
+        assert list(out) == [4, 0]
+        assert out == {4: 1.5 + (4.0 - 1.5) / 3, 0: 7.0}
 
     def test_spacing_scales_snap(self):
         grid = GridSpec(3, 3, spacing=2.0)
@@ -276,6 +297,51 @@ class TestFieldCsv:
         write_scalar_csv(b, vals)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_level_csv_matches_row_formula(self, tmp_path):
+        # The bytes of the per-row formula base + (i - 1) * delta, by repr.
+        rng = np.random.default_rng(3)
+        d = build_graph([], 50)
+        for base, delta in [(0.1, 0.2), (-3.7, 1e-3), (1e5, 0.3)]:
+            idx = rng.integers(1, 40, size=50)
+            table = LevelTable(base=base, delta=delta, count=40)
+            p = tmp_path / "f.csv"
+            write_level_csv(p, LevelField(domain=d, idx=idx, table=table))
+            rows = [f"{v},{i},{base + (i - 1) * delta!r}"
+                    for v, i in enumerate(idx.tolist())]
+            assert p.read_text() == "\n".join(["vertex,index,value", *rows]) + "\n"
+
+    def test_comment_lines_accepted(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("# exported by hand\nvertex,value\n# first\n0,1.5\n\n"
+                     "1,2.5  # tail\n")
+        back = read_field_csv(p)
+        assert back.vertices.tolist() == [0, 1]
+        assert back.values.tolist() == [1.5, 2.5]
+
+    @pytest.mark.parametrize("rows,match", [
+        ("2,0.4\n1,0.2\n0,0.0\n", "line 2: expected vertex 0, got 2"),
+        ("0,0.0\n1,0.2\n1,0.2\n2,0.4\n", "line 4: expected vertex 2, got 1"),
+        ("0,0.0\n2,0.4\n", "line 3: expected vertex 1, got 2"),
+        ("1,0.2\n", "line 2: expected vertex 0, got 1"),
+    ], ids=["reversed", "repeated", "gap", "from-one"])
+    def test_vertices_must_run_in_order(self, tmp_path, rows, match):
+        p = tmp_path / "f.csv"
+        p.write_text("vertex,value\n" + rows)
+        with pytest.raises(ValueError, match=match):
+            read_field_csv(p)
+
+    @pytest.mark.parametrize("body,line", [
+        ("vertex,value\n0,1.0\n1,x\n", 3),
+        ("vertex,index,value\n0,1,0.0\n# note\n1,two,0.5\n", 4),
+        ("vertex,value\nzero,1.0\n", 2),
+    ], ids=["value", "index", "vertex"])
+    def test_non_numeric_entry_names_file_and_line(self, tmp_path, body, line):
+        p = tmp_path / "f.csv"
+        p.write_text(body)
+        with pytest.raises(ValueError) as exc:
+            read_field_csv(p)
+        assert str(exc.value) == f"{p}: line {line}: non-numeric entry"
+
     def test_malformed_field_csv(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("vertex,index,value\n0,1\n")
@@ -341,3 +407,23 @@ class TestAtomicWrites:
         write_scalar_csv(p, np.array([1.0]))
         write_scalar_csv(p, np.array([2.0]))
         assert read_field_csv(p).values.tolist() == [2.0]
+
+
+class TestLineNumbers:
+    """The readers drop # comments anywhere and name the file's own line;
+    TestSamplesCsv covers the sample CSV."""
+
+    @pytest.mark.parametrize("reader,body,match", [
+        (read_field_csv,
+         "# c\nvertex,value # h\n\n0,1.0\n1\n", "line 5: wrong column count"),
+        (read_edge_list,
+         "# c\nvertices 3 # n\n\n0 1\n0 1 2\n", "line 5: expected 'a b'"),
+        (load_mesh,
+         "# c\nv 0 0 0 # one\n\nv 1 0 0\nf 1 2\n", "line 5: faces must be"),
+    ], ids=["field", "edges", "mesh"])
+    def test_comments_and_blanks_keep_line_numbers(self, tmp_path, reader,
+                                                   body, match):
+        p = tmp_path / "in.txt"
+        p.write_text(body)
+        with pytest.raises(ValueError, match=match):
+            reader(p)
