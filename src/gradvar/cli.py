@@ -93,16 +93,23 @@ def _parse_delta(text: str) -> float | None:
 def _parse_weight(text: str):
     """gaussian[:scale] or invpow:power[,epsilon]."""
     name, _, rest = text.partition(":")
-    if name == "gaussian":
-        return GaussianWeight(scale=float(rest) if rest else 1.0)
-    if name == "invpow":
-        if not rest:
-            raise ValueError("invpow weight needs a power, e.g. invpow:2")
-        parts = rest.split(",")
-        return InversePowerWeight(power=float(parts[0]),
-                                  epsilon=float(parts[1]) if len(parts) > 1 else 0.0)
-    raise ValueError(f"unknown weight {text!r}; use gaussian[:scale] or "
-                     f"invpow:power[,epsilon]")
+    weights = {"gaussian": (GaussianWeight, 1), "invpow": (InversePowerWeight, 2)}
+    if name not in weights:
+        raise ValueError(f"unknown weight {text!r}; use gaussian[:scale] or "
+                         f"invpow:power[,epsilon]")
+    if name == "invpow" and not rest:
+        raise ValueError("invpow weight needs a power, e.g. invpow:2")
+    weight, most = weights[name]
+    parts = rest.split(",") if rest else []
+    if len(parts) > most:
+        raise ValueError(f"--weight {name} takes at most {most} number(s), "
+                         f"got {text!r}")
+    try:
+        numbers = [float(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"--weight wants numbers after '{name}:', "
+                         f"got {text!r}") from None
+    return weight(*numbers)
 
 
 def _read_field(path, domain: Domain, mismatch: str) -> ScalarField:
@@ -154,6 +161,10 @@ def cmd_fit(args) -> int:
     parsed = read_samples_csv(args.samples)
     vmap = snap_to_vertices(parsed, grid, domain)
     delta = _parse_delta(args.delta)
+    truth = None
+    if args.truth:
+        truth = _read_field(args.truth, domain,
+                            "truth field length does not match the domain")
     os.makedirs(args.out, exist_ok=True)
     extra: dict = {}
 
@@ -193,9 +204,7 @@ def cmd_fit(args) -> int:
         written.extend(_write_renders(scalar, grid, args.out))
 
     payload = {"method": args.method, **extra}
-    if args.truth:
-        truth = _read_field(args.truth, domain,
-                            "truth field length does not match the domain")
+    if truth is not None:
         m = compute_metrics(scalar, truth, grid=grid)
         payload.update(rmse=m.rmse, max_abs_error=m.max_abs_error,
                        tv_gradient=m.tv_gradient)

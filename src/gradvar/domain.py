@@ -29,10 +29,13 @@ class Domain:
     construction; all exposed arrays are read-only views.  ``_grid`` is the
     :class:`GridSpec` of a domain made by :func:`build_grid` and ``None`` on
     every other domain; it lets grid-only code use the raster layout.
+    ``_pair_memo`` holds the last pair-distance matrix the level-set code
+    computed, as read-only (vertices, matrix), so that a check at the auto
+    delta runs its sweeps once; it is a cache, not part of the graph.
     """
 
     __slots__ = ("vertex_count", "coords", "_offsets", "_dir_src", "_dir_dst",
-                 "_grid")
+                 "_grid", "_pair_memo")
 
     def __init__(self, vertex_count: int, edges=(), coords=None):
         if vertex_count < 1:
@@ -66,6 +69,7 @@ class Domain:
         counts = np.bincount(self._dir_src, minlength=n)
         self._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self._grid = None
+        self._pair_memo = None
 
         if coords is None:
             self.coords = None
@@ -306,6 +310,55 @@ def min_offset_sweep(domain: Domain, seed_vertices: np.ndarray,
             relax = neigh[dist[neigh] > level + 1]
             dist[relax] = level + 1
     return dist
+
+
+def _multi_source_hops(domain: Domain, vertices: np.ndarray) -> np.ndarray:
+    """Hop distances among ``vertices``: entry (r, c) is d(vertices[r],
+    vertices[c]), ``UNREACHABLE`` across components.
+
+    A multi-source BFS (MS-BFS; Then et al., VLDB 2014) runs each block of
+    up to 64 sources as one sweep.  Every vertex holds a uint64 word whose
+    bit s is set once source s has reached it.  Each level ORs the frontier
+    words of every vertex's neighbors, keeps the bits the vertex has not
+    seen, and records the level at which each listed vertex first gains
+    each bit.  A block stops when every listed vertex holds every bit, or
+    when the frontier is empty.
+    """
+    verts = np.asarray(vertices, dtype=np.int64)
+    k = len(verts)
+    out = np.full((k, k), UNREACHABLE, dtype=np.int64)
+    # reduceat over the vertices that have neighbors only: an empty segment
+    # would yield the next vertex's first word, and a start index equal to
+    # the array length is an error.
+    offsets = domain._offsets
+    owners = np.nonzero(offsets[1:] > offsets[:-1])[0]
+    starts = offsets[owners]
+    targets = domain._dir_dst
+    one = np.uint64(1)
+    for lo in range(0, k, 64):
+        # uint64 shift counts: numpy 2 turns uint64 << int64 into float64.
+        shifts = np.arange(min(64, k - lo), dtype=np.uint64)
+        bits = one << shifts
+        full = np.bitwise_or.reduce(bits)
+        seen = np.zeros(domain.vertex_count, dtype=np.uint64)
+        np.bitwise_or.at(seen, verts[lo:lo + 64], bits)
+        frontier, level = seen.copy(), 0
+        while True:
+            gained = frontier[verts]
+            rows, cols = np.nonzero((gained[:, None] >> shifts) & one)
+            out[rows, lo + cols] = level
+            if (seen[verts] == full).all():
+                break
+            pulled = np.zeros_like(seen)
+            if starts.size:
+                pulled[owners] = np.bitwise_or.reduceat(
+                    np.take(frontier, targets), starts)
+            frontier = pulled & ~seen
+            if not frontier.any():
+                break
+            seen |= frontier
+            level += 1
+    return out
 
 
 def bfs_distances(domain: Domain, sources) -> DistanceField:

@@ -7,6 +7,7 @@ round-trip guarantee makes every CSV re-import bit-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -158,7 +159,8 @@ def read_field_csv(path) -> FieldCsv:
     """Re-import a field CSV written by this package, losslessly.
 
     Its vertex column must run 0..N-1 in order; the first row that breaks
-    this, or holds a non-numeric entry, raises naming its file line.
+    this, or holds a non-numeric or non-finite entry, raises naming its
+    file line.
     """
     records = _records(path, ",")
     _, header = next(records, (0, None))
@@ -186,8 +188,15 @@ def read_field_csv(path) -> FieldCsv:
         if vertex != len(vals) - 1:
             raise ValueError(f"{path}: line {lineno}: expected vertex "
                              f"{len(vals) - 1}, got {vertex}")
+    values = np.array(vals, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        # Line numbers are looked up only here, off the common path.
+        row = int(np.argmin(finite))
+        lineno, _ = next(itertools.islice(_records(path, ","), row + 1, None))
+        raise ValueError(f"{path}: line {lineno}: non-finite value")
     return FieldCsv(vertices=np.arange(len(vals), dtype=np.int64),
-                    values=np.array(vals, dtype=np.float64),
+                    values=values,
                     indices=np.array(idxs, dtype=np.int64) if with_index else None)
 
 

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import UNREACHABLE, Domain, bfs_distances, min_offset_sweep
+from .domain import (UNREACHABLE, Domain, _multi_source_hops, bfs_distances,
+                     min_offset_sweep)
 from .fields import ScalarField
 
 
@@ -179,18 +180,25 @@ def _pair_distances(domain: Domain, vertices: np.ndarray) -> np.ndarray:
 
     On a :func:`build_grid` domain the hop metric has a closed form on
     (row, col): Manhattan distance for four-connectivity, Chebyshev for
-    eight, in O(k^2) with no sweep.  Other domains run one BFS per vertex.
+    eight, in O(k^2) with no sweep.  Other domains run one bit-parallel
+    sweep per 64 vertices.  The domain keeps the last matrix, read-only,
+    so a second call with the same vertices computes nothing.
     """
+    memo = domain._pair_memo
+    if memo is not None and np.array_equal(memo[0], vertices):
+        return memo[1]
     grid = domain._grid
     if grid is not None:
         rows, cols = np.divmod(vertices, grid.width)
         dr = np.abs(rows[:, None] - rows[None, :])
         dc = np.abs(cols[:, None] - cols[None, :])
-        return dr + dc if grid.connectivity == "four" else np.maximum(dr, dc)
-    k = len(vertices)
-    out = np.zeros((k, k), dtype=np.int64)
-    for row, v in enumerate(vertices):
-        out[row] = bfs_distances(domain, [int(v)]).dist[vertices]
+        out = dr + dc if grid.connectivity == "four" else np.maximum(dr, dc)
+    else:
+        out = _multi_source_hops(domain, vertices)
+    key = np.array(vertices, dtype=np.int64)
+    for arr in (key, out):
+        arr.setflags(write=False)
+    domain._pair_memo = (key, out)
     return out
 
 
@@ -239,7 +247,8 @@ def lipschitz_delta(domain: Domain, samples: Mapping[int, float]) -> float:
     the hop distance.  All-equal values would give 0, which is replaced
     by ``1e-9 * max(1, |value|)`` so one level suffices.
     Samples in different components raise InfeasibleError.  Hop distances
-    come from the grid metric on :func:`build_grid` domains, else BFS.
+    come from the grid metric on :func:`build_grid` domains, elsewhere from
+    one bit-parallel sweep per 64 samples.
     """
     verts, vals = _sample_arrays(domain, samples)
     split = _component_witness(domain, verts)
@@ -293,7 +302,9 @@ def check_feasibility(domain: Domain, guiding: GuidingSet) -> FeasibilityCheck:
     the witness is a pair with maximal violation |i - j| - d; guiding
     vertices in different components yield an UNREACHABLE witness instead.
     On :func:`build_grid` domains d is the closed-form grid metric,
-    elsewhere one BFS per guiding vertex.  :func:`envelopes` agrees.
+    elsewhere one bit-parallel sweep per 64 guiding vertices, shared with
+    a preceding :func:`lipschitz_delta` on the same vertices.
+    :func:`envelopes` agrees.
     """
     verts = guiding.vertices
     if (verts >= domain.vertex_count).any():

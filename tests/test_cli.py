@@ -85,6 +85,26 @@ class TestCheck:
         assert rc == 1
         assert message in capsys.readouterr().err
 
+    def test_auto_delta_on_mesh_computes_pair_distances_once(self, tmp_path,
+                                                            monkeypatch, capsys):
+        import gradvar.gvf
+        calls = []
+
+        def counting(domain, vertices, sweep=gradvar.gvf._multi_source_hops):
+            calls.append(len(vertices))
+            return sweep(domain, vertices)
+
+        monkeypatch.setattr(gradvar.gvf, "_multi_source_hops", counting)
+        mesh = tmp_path / "m.obj"
+        mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\n"
+                        "f 1 2 3\nf 2 4 3\n")
+        samples = tmp_path / "s.csv"
+        samples.write_text("vertex,value\n0,0.0\n3,1.0\n1,0.25\n")
+        rc = main(["check", "--mesh", str(mesh), "--samples", str(samples)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("feasible: 3 guiding points")
+        assert calls == [3]
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -150,7 +170,7 @@ class TestFit:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{truth}: line {line}: expected vertex {line - 2}" in err
-        assert not (out / "metrics.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("size", ["5x1", "1x5"])
     @pytest.mark.parametrize("method", ["gvf", "harmonic"])
@@ -211,6 +231,13 @@ class TestFit:
         ("invpow", "invpow weight needs a power, e.g. invpow:2"),
         ("cubic:2", "unknown weight 'cubic:2'; use gaussian[:scale] or "
                     "invpow:power[,epsilon]"),
+        ("invpow:2,0.5,7", "--weight invpow takes at most 2 number(s), "
+                           "got 'invpow:2,0.5,7'"),
+        ("gaussian:1,2", "--weight gaussian takes at most 1 number(s), "
+                         "got 'gaussian:1,2'"),
+        ("gaussian:abc", "--weight wants numbers after 'gaussian:', "
+                         "got 'gaussian:abc'"),
+        ("invpow:x", "--weight wants numbers after 'invpow:', got 'invpow:x'"),
     ])
     def test_bad_weight_exit_one(self, corner_samples, tmp_path, capsys,
                                  weight, message):

@@ -405,20 +405,21 @@ def plain_copy(domain):
                        coords=domain.coords)
 
 
+def bfs_matrix(domain, verts):
+    """Pair hop distances by one queue BFS per vertex."""
+    adj = domain.adjacency_lists()
+    return [[python_bfs(adj, [a])[b] for b in verts] for a in verts]
+
+
 class TestGridMetric:
     """The closed-form grid metric against BFS on the same adjacency."""
-
-    @staticmethod
-    def bfs_matrix(domain, verts):
-        adj = domain.adjacency_lists()
-        return [[python_bfs(adj, [a])[b] for b in verts] for a in verts]
 
     @pytest.mark.parametrize("w,h", [(1, 1), (1, 9), (9, 1), (2, 2)])
     @pytest.mark.parametrize("conn", ["four", "eight"])
     def test_thin_and_tiny_grids(self, w, h, conn):
         d = build_grid(GridSpec(w, h, connectivity=conn))
         verts = np.arange(w * h, dtype=np.int64)
-        assert _pair_distances(d, verts).tolist() == self.bfs_matrix(d, verts)
+        assert _pair_distances(d, verts).tolist() == bfs_matrix(d, verts)
 
     @given(st.integers(1, 14), st.integers(1, 14),
            st.sampled_from(["four", "eight"]), st.data())
@@ -429,7 +430,7 @@ class TestGridMetric:
                                    max_size=10, unique=True))
         got = _pair_distances(d, np.array(verts, dtype=np.int64))
         assert got.dtype == np.int64
-        assert got.tolist() == self.bfs_matrix(d, verts)
+        assert got.tolist() == bfs_matrix(d, verts)
 
     @given(feasible_instance(), st.floats(0.1, 1.0))
     @settings(max_examples=60)
@@ -469,6 +470,64 @@ def component_graph(rng, sizes):
         start += size
     domain = build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), total)
     return domain, domain.adjacency_lists()
+
+
+def sweep_graph(kind, rng):
+    """An edge-list domain of one of the shapes the pair sweep must handle."""
+    if kind == "no-edges":
+        return build_graph([], 150)
+    if kind == "path":
+        return path_domain(140)
+    if kind == "components":
+        return component_graph(rng, [60, 45, 30, 1, 1])[0]
+    # Random edges among the first vertices; the last ones have no neighbor,
+    # and neither do a few in between.
+    n, isolated = 160, 12
+    edges = rng.integers(0, n - isolated, size=(300, 2))
+    edges = edges[(edges[:, 0] != edges[:, 1]) & (edges % 17 != 5).all(axis=1)]
+    return build_graph(edges, n)
+
+
+class TestMultiSourceSweep:
+    """Pair distances off the grid come from one bit-parallel sweep per 64
+    vertices; they must equal a queue BFS per vertex."""
+
+    @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 130])
+    @pytest.mark.parametrize("kind", ["random", "components", "no-edges", "path"])
+    def test_matches_python_bfs(self, kind, k):
+        rng = np.random.default_rng([k, len(kind)])
+        d = sweep_graph(kind, rng)
+        assert d._grid is None
+        verts = rng.permutation(d.vertex_count)[:k]
+        got = _pair_distances(d, verts)
+        assert got.dtype == np.int64
+        assert got.tolist() == bfs_matrix(d, verts.tolist())
+
+    def test_last_vertex_with_edges_before_isolated_ones(self):
+        # Vertex 3's neighbor list ends the adjacency; 4 and 5 have none.
+        d = build_graph([(0, 1), (1, 2), (2, 3)], 6)
+        verts = np.array([5, 3, 0, 4], dtype=np.int64)
+        assert _pair_distances(d, verts).tolist() == bfs_matrix(d, verts.tolist())
+
+    @given(st.integers(1, 40), st.data())
+    @settings(max_examples=60)
+    def test_random_graphs(self, n, data):
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)), max_size=60))
+        d = build_graph([(a, b) for a, b in edges if a != b], n)
+        verts = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+        got = _pair_distances(d, np.array(verts, dtype=np.int64))
+        assert got.tolist() == bfs_matrix(d, verts)
+
+    def test_repeat_call_reuses_the_read_only_matrix(self, tmp_path):
+        d = mesh_domain(tmp_path, np.random.default_rng(2))
+        verts = np.array([3, 40, 17], dtype=np.int64)
+        first = _pair_distances(d, verts)
+        assert not first.flags.writeable
+        assert _pair_distances(d, verts.copy()) is first
+        other = _pair_distances(d, verts[::-1].copy())
+        assert other is not first
+        assert other.tolist() == first[::-1, ::-1].tolist()
 
 
 def random_guiding(rng, verts, n):

@@ -342,6 +342,18 @@ class TestFieldCsv:
             read_field_csv(p)
         assert str(exc.value) == f"{p}: line {line}: non-numeric entry"
 
+    @pytest.mark.parametrize("body,line", [
+        ("vertex,value\n0,1.0\n1,nan\n", 3),
+        ("vertex,index,value\n0,1,0.0\n# note\n\n1,2,-inf\n2,2,inf\n", 5),
+        ("vertex,value\n0,Infinity\n", 2),
+    ], ids=["nan", "minus-inf-after-comment", "infinity"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, body, line):
+        p = tmp_path / "f.csv"
+        p.write_text(body)
+        with pytest.raises(ValueError) as exc:
+            read_field_csv(p)
+        assert str(exc.value) == f"{p}: line {line}: non-finite value"
+
     def test_malformed_field_csv(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("vertex,index,value\n0,1\n")
