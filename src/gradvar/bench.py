@@ -1,4 +1,4 @@
-"""Seeded synthetic benchmarks comparing the fitting methods.
+"""The method runner `fit` shares, and seeded benchmarks comparing the methods.
 
 Each trial draws a ground-truth surface and a sample layout from a named
 generator, runs the configured methods on identical samples, and records
@@ -19,13 +19,54 @@ from .baselines import (GaussianWeight, MlsConfig, SamplePoints, ShepardConfig,
 from .domain import Domain, GridSpec, bfs_distances, build_grid
 from .fields import ScalarField
 from .fileio import atomic_write_text
-from .gvf import fit_gvf, to_scalar
+from .gvf import LevelField, fit_gvf, to_scalar
 from .metrics import compute_metrics
-from .smoothing import harmonic_relax
+from .smoothing import harmonic_relax, smooth_reconstruct
 
 GENERATORS = ("affine", "gaussian-bump", "sinusoid", "two-line-samples",
               "boundary-ring")
-METHODS = ("gvf", "harmonic", "mls", "shepard")
+METHODS = ("gvf", "smooth", "harmonic", "mls", "shepard")
+
+
+class MethodFit(NamedTuple):
+    field: ScalarField
+    levels: LevelField | None   # the level field, gvf only
+    report: dict                # per-method diagnostics, JSON-ready
+
+
+def fit_method(method: str, domain: Domain, samples, points, *,
+               delta: float | None = None, policy: str = "midpoint",
+               order: int = 1, sweeps: int = 10, iters: int = 100,
+               tol: float = 1e-9, weight=GaussianWeight(),
+               power: float = 2.0) -> MethodFit:
+    """Run one of METHODS on vertex -> value ``samples``, for `fit` and `bench`.
+
+    Only mls and shepard call ``points()``, for the SamplePoints they fit.
+    gvf and harmonic's gvf start read ``delta`` (None: automatic) and
+    ``policy``; ``order`` is smooth's order and mls's degree.  The report
+    holds gvf's ``delta``, harmonic's ``iterations_run`` and
+    ``final_residual``, and mls's ``fallback_vertices`` count.
+    """
+    if method in ("gvf", "harmonic"):
+        fit = fit_gvf(domain, samples, delta=delta, policy=policy)
+        if method == "gvf":
+            return MethodFit(to_scalar(fit.field), fit.field, {"delta": fit.delta})
+        field, relax = harmonic_relax(to_scalar(fit.field), samples,
+                                      max_iter=iters, tol=tol)
+        return MethodFit(field, None, {"iterations_run": relax.iterations_run,
+                                       "final_residual": relax.final_residual})
+    if method == "smooth":
+        return MethodFit(smooth_reconstruct(domain, samples, order=order,
+                                            sweeps=sweeps), None, {})
+    if method == "mls":
+        fit = evaluate_on_domain(MlsConfig(degree=order, weight=weight),
+                                 points(), domain)
+        return MethodFit(fit.field, None,
+                         {"fallback_vertices": len(fit.fallback_vertices)})
+    if method == "shepard":
+        fit = evaluate_on_domain(ShepardConfig(power=power), points(), domain)
+        return MethodFit(fit.field, None, {})
+    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
 def _truth_values(name: str, grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
@@ -145,36 +186,12 @@ CSV_HEADER = ("trial,generator,method,rmse,max_abs_error,tv_gradient,"
               "fallback_count,gvf_error_bound,error")
 
 
-def _run_method(method: str, case: BenchCase, domain: Domain, mls_degree: int,
-                mls_weight, shepard_power: float, iters: int, tol: float):
-    """Returns (field, fallback_count, bound or None)."""
-    if method == "gvf":
-        fit = fit_gvf(domain, case.sample_map)
-        field = to_scalar(fit.field)
-        bound = gvf_error_bound(domain, case.truth, field, case.sample_verts,
-                                fit.delta)
-        return field, 0, bound
-    if method == "harmonic":
-        fit = fit_gvf(domain, case.sample_map)
-        init = to_scalar(fit.field)
-        relaxed, _ = harmonic_relax(init, case.sample_map, max_iter=iters, tol=tol)
-        return relaxed, 0, None
-    if method == "mls":
-        cfg = MlsConfig(degree=mls_degree, weight=mls_weight)
-        fit = evaluate_on_domain(cfg, case.points, domain)
-        return fit.field, len(fit.fallback_vertices), None
-    if method == "shepard":
-        cfg = ShepardConfig(power=shepard_power)
-        fit = evaluate_on_domain(cfg, case.points, domain)
-        return fit.field, 0, None
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-
-
 def run_bench(grid: GridSpec, generators, methods, trials: int, count: int,
-              seed: int, mls_degree: int = 1, shepard_power: float = 2.0,
+              seed: int, order: int = 1, power: float = 2.0,
               iters: int = 100, tol: float = 1e-9,
               verbose: bool = True) -> list[BenchRow]:
-    """Run every (trial, generator, method) combination on one grid."""
+    """Run every (trial, generator, method) combination on one grid, each
+    through :func:`fit_method` with its defaults for the options not passed."""
     if trials < 1 or count < 1:
         raise ValueError("trials and sample count must be positive")
     domain = build_grid(grid)
@@ -185,13 +202,19 @@ def run_bench(grid: GridSpec, generators, methods, trials: int, count: int,
             case = make_case(gen, grid, domain, seed, trial, count)
             for method in methods:
                 try:
-                    field, fallbacks, bound = _run_method(
-                        method, case, domain, mls_degree, weight, shepard_power,
-                        iters, tol)
+                    field, _, report = fit_method(
+                        method, domain, case.sample_map, lambda: case.points,
+                        order=order, iters=iters, tol=tol, weight=weight,
+                        power=power)
+                    bound = None
+                    if method == "gvf":
+                        bound = gvf_error_bound(domain, case.truth, field,
+                                                case.sample_verts, report["delta"])
                     m = compute_metrics(field, case.truth, grid=grid)
                     rows.append(BenchRow(trial, gen, method, m.rmse,
                                          m.max_abs_error, m.tv_gradient,
-                                         fallbacks, bound, ""))
+                                         report.get("fallback_vertices", 0),
+                                         bound, ""))
                     if verbose and bound is not None:
                         print(f"trial {trial} {gen}: gvf max-error bound "
                               f"{bound!r} (observed rmse {m.rmse!r})")

@@ -14,19 +14,16 @@ import argparse
 import os
 import sys
 
-from .baselines import (GaussianWeight, InversePowerWeight, MlsConfig,
-                        SamplePoints, ShepardConfig, evaluate_on_domain)
-from .bench import GENERATORS, METHODS, run_bench, write_bench_csv
+from .baselines import GaussianWeight, InversePowerWeight, SamplePoints
+from .bench import GENERATORS, METHODS, fit_method, run_bench, write_bench_csv
 from .domain import Domain, GridSpec, build_graph, build_grid, load_mesh
 from .fields import ScalarField
 from .fileio import (read_edge_list, read_field_csv, read_samples_csv,
                      sample_coords, snap_to_vertices, write_level_csv,
                      write_metrics_json, write_scalar_csv)
-from .gvf import InfeasibleError, check_feasibility, fit_gvf, lipschitz_delta, \
-    quantize, to_scalar
+from .gvf import InfeasibleError, check_feasibility, lipschitz_delta, quantize
 from .metrics import _tv_gradient, compute_metrics
 from .render import render_heatmap, render_heightmesh, render_pgm16
-from .smoothing import harmonic_relax, smooth_reconstruct
 
 
 class _UsageError(Exception):
@@ -161,49 +158,27 @@ def cmd_fit(args) -> int:
     parsed = read_samples_csv(args.samples)
     vmap = snap_to_vertices(parsed, grid, domain)
     delta = _parse_delta(args.delta)
+    weight = _parse_weight(args.weight)
     truth = None
     if args.truth:
         truth = _read_field(args.truth, domain,
                             "truth field length does not match the domain")
+    scalar, levels, report = fit_method(
+        args.method, domain, vmap,
+        lambda: SamplePoints.from_points(sample_coords(parsed, domain)),
+        delta=delta, policy=args.policy, order=args.order, sweeps=args.sweeps,
+        iters=args.iters, tol=args.tol, weight=weight, power=args.power)
+
     os.makedirs(args.out, exist_ok=True)
-    extra: dict = {}
-
-    if args.method == "gvf":
-        fit = fit_gvf(domain, vmap, delta=delta, policy=args.policy)
-        scalar = to_scalar(fit.field)
-        extra["delta"] = fit.delta
-    elif args.method == "smooth":
-        scalar = smooth_reconstruct(domain, vmap, order=args.order,
-                                    sweeps=args.sweeps)
-    elif args.method == "harmonic":
-        fit = fit_gvf(domain, vmap, delta=delta)
-        scalar, report = harmonic_relax(to_scalar(fit.field), vmap,
-                                        max_iter=args.iters, tol=args.tol)
-        extra["iterations_run"] = report.iterations_run
-        extra["final_residual"] = report.final_residual
-    elif args.method in ("mls", "shepard"):
-        rows = sample_coords(parsed, domain)
-        points = SamplePoints.from_points(rows)
-        if args.method == "mls":
-            cfg = MlsConfig(degree=args.order, weight=_parse_weight(args.weight))
-        else:
-            cfg = ShepardConfig(power=args.power)
-        result = evaluate_on_domain(cfg, points, domain)
-        scalar = result.field
-        if args.method == "mls":
-            extra["fallback_vertices"] = len(result.fallback_vertices)
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
-
     written = [os.path.join(args.out, "field.csv")]
-    if args.method == "gvf":
-        write_level_csv(written[0], fit.field)
+    if levels is not None:
+        write_level_csv(written[0], levels)
     else:
         write_scalar_csv(written[0], scalar.values)
     if grid is not None:
         written.extend(_write_renders(scalar, grid, args.out))
 
-    payload = {"method": args.method, **extra}
+    payload = {"method": args.method, **report}
     if truth is not None:
         m = compute_metrics(scalar, truth, grid=grid)
         payload.update(rmse=m.rmse, max_abs_error=m.max_abs_error,
@@ -219,7 +194,8 @@ def cmd_fit(args) -> int:
         "command": "fit", "domain": _domain_description(args),
         "samples": args.samples, "method": args.method,
         "delta": args.delta, "policy": args.policy, "order": args.order,
-        "sweeps": args.sweeps, "iters": args.iters, "tol": args.tol})
+        "sweeps": args.sweeps, "iters": args.iters, "tol": args.tol,
+        "weight": args.weight, "power": args.power})
     written.append(run_path)
     for path in written:
         print(f"wrote {path}")
@@ -240,8 +216,8 @@ def cmd_bench(args) -> int:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
     rows = run_bench(grid, gens, methods, trials=args.trials, count=args.points,
-                     seed=args.seed, mls_degree=args.order,
-                     shepard_power=args.power, iters=args.iters, tol=args.tol)
+                     seed=args.seed, order=args.order, power=args.power,
+                     iters=args.iters, tol=args.tol)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "bench.csv")
     write_bench_csv(path, rows)
@@ -278,12 +254,12 @@ def _build_parser() -> _Parser:
     pf = sub.add_parser("fit", help="fit one method and export results")
     _add_domain_flags(pf)
     pf.add_argument("--samples", required=True, metavar="FILE")
-    pf.add_argument("--method", default="gvf",
-                    choices=["gvf", "smooth", "harmonic", "mls", "shepard"])
+    pf.add_argument("--method", default="gvf", choices=METHODS)
     pf.add_argument("--delta", default="auto",
                     help="level spacing for gvf/harmonic (default auto)")
     pf.add_argument("--policy", default="midpoint",
-                    choices=["midpoint", "lower", "upper"])
+                    choices=["midpoint", "lower", "upper"],
+                    help="level choice for gvf and harmonic's gvf start")
     pf.add_argument("--order", type=int, default=1, choices=[0, 1, 2],
                     help="smoothing order for smooth, degree for mls")
     pf.add_argument("--sweeps", type=int, default=10,
@@ -311,7 +287,7 @@ def _build_parser() -> _Parser:
     pb.add_argument("--points", type=int, default=20,
                     help="samples per trial")
     pb.add_argument("--order", type=int, default=1, choices=[0, 1, 2],
-                    help="mls degree")
+                    help="smoothing order for smooth, degree for mls")
     pb.add_argument("--power", type=float, default=2.0)
     pb.add_argument("--iters", type=int, default=100)
     pb.add_argument("--tol", type=float, default=1e-9)

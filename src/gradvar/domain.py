@@ -31,7 +31,8 @@ class Domain:
     every other domain; it lets grid-only code use the raster layout.
     ``_pair_memo`` holds the last pair-distance matrix the level-set code
     computed, as read-only (vertices, matrix), so that a check at the auto
-    delta runs its sweeps once; it is a cache, not part of the graph.
+    delta runs its sweeps once and the component rule reads its row 0; it
+    is a cache, not part of the graph.
     """
 
     __slots__ = ("vertex_count", "coords", "_offsets", "_dir_src", "_dir_dst",
@@ -89,9 +90,6 @@ class Domain:
         """Sorted neighbor ids of ``v`` (read-only view)."""
         return self._dir_dst[self._offsets[v]:self._offsets[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self._offsets[v + 1] - self._offsets[v])
-
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self._offsets)
@@ -148,12 +146,6 @@ class GridSpec:
     @property
     def vertex_count(self) -> int:
         return self.width * self.height
-
-    def vertex(self, row: int, col: int) -> int:
-        return row * self.width + col
-
-    def row_col(self, v: int) -> tuple[int, int]:
-        return divmod(v, self.width)
 
     def coords_array(self) -> np.ndarray:
         cols = np.tile(np.arange(self.width), self.height)

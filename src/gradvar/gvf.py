@@ -75,16 +75,6 @@ class GuidingSet:
         object.__setattr__(self, "indices", i)
         object.__setattr__(self, "raw_values", r)
 
-    @classmethod
-    def from_maps(cls, entries: Mapping[int, int],
-                  raw_values: Mapping[int, float]) -> "GuidingSet":
-        if set(entries) != set(raw_values):
-            raise ValueError("entries and raw_values must cover the same vertices")
-        verts = sorted(entries)
-        return cls(vertices=np.array(verts, dtype=np.int64),
-                   indices=np.array([entries[v] for v in verts], dtype=np.int64),
-                   raw_values=np.array([raw_values[v] for v in verts], dtype=np.float64))
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -175,6 +165,14 @@ class InfeasibleError(ValueError):
         super().__init__(message or f"infeasible guiding data: {witness.describe()}")
 
 
+def _memoized_pairs(domain: Domain, vertices: np.ndarray) -> np.ndarray | None:
+    """The domain's last pair matrix if it is of ``vertices``, else None."""
+    memo = domain._pair_memo
+    if memo is not None and np.array_equal(memo[0], vertices):
+        return memo[1]
+    return None
+
+
 def _pair_distances(domain: Domain, vertices: np.ndarray) -> np.ndarray:
     """Hop distances between the listed vertices, UNREACHABLE off-component.
 
@@ -184,9 +182,9 @@ def _pair_distances(domain: Domain, vertices: np.ndarray) -> np.ndarray:
     sweep per 64 vertices.  The domain keeps the last matrix, read-only,
     so a second call with the same vertices computes nothing.
     """
-    memo = domain._pair_memo
-    if memo is not None and np.array_equal(memo[0], vertices):
-        return memo[1]
+    out = _memoized_pairs(domain, vertices)
+    if out is not None:
+        return out
     grid = domain._grid
     if grid is not None:
         rows, cols = np.divmod(vertices, grid.width)
@@ -221,10 +219,17 @@ def _component_witness(domain: Domain, verts: np.ndarray,
     """None if all ``verts`` share a component, else the UNREACHABLE witness
     (first vertex, first one outside its component), the first such pair in
     row-major order.  A :func:`build_grid` domain is connected: no sweep.
+    Reachability from the first vertex is row 0 of the memoized pair matrix
+    when that matrix is of ``verts``, and one sweep otherwise.
     """
     if domain._grid is not None or len(verts) < 2:
         return None
-    outside = np.nonzero(~bfs_distances(domain, [int(verts[0])]).reachable[verts])[0]
+    pairs = _memoized_pairs(domain, verts)
+    if pairs is not None:
+        reachable = pairs[0] != UNREACHABLE
+    else:
+        reachable = bfs_distances(domain, [int(verts[0])]).reachable[verts]
+    outside = np.nonzero(~reachable)[0]
     if outside.size == 0:
         return None
     b = int(outside[0])
@@ -248,9 +253,11 @@ def lipschitz_delta(domain: Domain, samples: Mapping[int, float]) -> float:
     by ``1e-9 * max(1, |value|)`` so one level suffices.
     Samples in different components raise InfeasibleError.  Hop distances
     come from the grid metric on :func:`build_grid` domains, elsewhere from
-    one bit-parallel sweep per 64 samples.
+    one bit-parallel sweep per 64 samples, whose matrix also decides the
+    component rule.
     """
     verts, vals = _sample_arrays(domain, samples)
+    pairs = _pair_distances(domain, verts)
     split = _component_witness(domain, verts)
     if split is not None:
         raise InfeasibleError(
@@ -259,8 +266,7 @@ def lipschitz_delta(domain: Domain, samples: Mapping[int, float]) -> float:
     star = 0.0
     if verts.size > 1:
         iu = np.triu_indices(len(verts), k=1)
-        d = _pair_distances(domain, verts)[iu]
-        star = float((np.abs(vals[iu[0]] - vals[iu[1]]) / d).max())
+        star = float((np.abs(vals[iu[0]] - vals[iu[1]]) / pairs[iu]).max())
     floor = _ZERO_RANGE_FLOOR * max(1.0, float(np.abs(vals).max()))
     return star if star > 0 else floor
 
@@ -303,19 +309,20 @@ def check_feasibility(domain: Domain, guiding: GuidingSet) -> FeasibilityCheck:
     vertices in different components yield an UNREACHABLE witness instead.
     On :func:`build_grid` domains d is the closed-form grid metric,
     elsewhere one bit-parallel sweep per 64 guiding vertices, shared with
-    a preceding :func:`lipschitz_delta` on the same vertices.
-    :func:`envelopes` agrees.
+    a preceding :func:`lipschitz_delta` on the same vertices and with the
+    component rule.  :func:`envelopes` agrees.
     """
     verts = guiding.vertices
     if (verts >= domain.vertex_count).any():
         raise ValueError("guiding vertex id out of range")
+    pairs = _pair_distances(domain, verts)
     split = _component_witness(domain, verts, guiding.indices)
     if split is not None:
         return FeasibilityCheck(False, split)
     if len(verts) == 1:
         return FeasibilityCheck(True, None)
     iu = np.triu_indices(len(verts), k=1)
-    d = _pair_distances(domain, verts)[iu]
+    d = pairs[iu]
     gap = np.abs(guiding.indices[iu[0]] - guiding.indices[iu[1]])
     violation = gap - d
     worst = int(np.argmax(violation))

@@ -10,6 +10,8 @@ from collections import deque
 
 import numpy as np
 
+from gradvar import GuidingSet
+
 
 def gradual_variation_ok(adjacency: list[list[int]], idx) -> bool:
     """Pure-python check that adjacent indices differ by at most 1."""
@@ -18,6 +20,16 @@ def gradual_variation_ok(adjacency: list[list[int]], idx) -> bool:
             if abs(int(idx[a]) - int(idx[b])) > 1:
                 return False
     return True
+
+
+def guiding_set(indices: dict, raw_values: dict) -> GuidingSet:
+    """A GuidingSet from vertex -> level index and vertex -> raw value maps."""
+    assert set(indices) == set(raw_values)
+    verts = sorted(indices)
+    return GuidingSet(vertices=np.array(verts, dtype=np.int64),
+                      indices=np.array([indices[v] for v in verts], dtype=np.int64),
+                      raw_values=np.array([raw_values[v] for v in verts],
+                                          dtype=np.float64))
 
 
 def python_bfs(adjacency: list[list[int]], sources) -> list[int]:

@@ -105,6 +105,27 @@ class TestCheck:
         assert capsys.readouterr().out.startswith("feasible: 3 guiding points")
         assert calls == [3]
 
+    def test_mesh_component_rule_reads_the_pair_matrix(self, tmp_path,
+                                                        monkeypatch, capsys):
+        import gradvar.gvf
+        calls = []
+
+        def counting(domain, sources, sweep=gradvar.gvf.bfs_distances):
+            calls.append(list(sources))
+            return sweep(domain, sources)
+
+        monkeypatch.setattr(gradvar.gvf, "bfs_distances", counting)
+        mesh = tmp_path / "m.obj"
+        mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\n"
+                        "f 1 2 3\nf 2 4 3\n")
+        samples = tmp_path / "s.csv"
+        samples.write_text("vertex,value\n0,0.0\n3,1.0\n1,0.25\n")
+        base = ["--mesh", str(mesh), "--samples", str(samples)]
+        assert main(["check", *base]) == 0
+        assert main(["fit", *base, "--out", str(tmp_path / "out")]) == 0
+        assert calls == []
+        assert "feasible: 3 guiding points" in capsys.readouterr().out
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -128,6 +149,7 @@ class TestFit:
         assert "rmse" not in metrics
         run = json.loads((out / "run.json").read_text())
         assert run["command"] == "fit" and run["domain"]["grid"] == "4x4"
+        assert run["weight"] == "gaussian:1" and run["power"] == 2.0
         assert capsys.readouterr().out.count("wrote ") == 6
 
     def test_seed_flag_is_gone(self, corner_samples, tmp_path, capsys):
@@ -320,6 +342,22 @@ class TestFit:
         assert main(["fit", *base, "--out", out]) == 2
         assert capsys.readouterr().err == \
             "infeasible: vertices 0 and 3: distance unreachable, index gap ?\n"
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--weight", "cubic:2"], "unknown weight 'cubic:2'"),
+        (["--method", "shepard", "--power", "0"], "power must be positive"),
+        (["--method", "mls", "--weight", "invpow:2200"],
+         "MLS failed at vertex 2: zero total weight"),
+        (["--delta", "0.4"], "infeasible: vertices 0 and 15"),
+    ], ids=["weight-on-gvf", "shepard-power", "mls-zero-weight",
+            "infeasible-delta"])
+    def test_failed_fit_writes_nothing(self, corner_samples, tmp_path, capsys,
+                                       extra, message):
+        out = tmp_path / "out"
+        rc = main(grid_args(corner_samples, out, *extra))
+        assert rc == (2 if extra[0] == "--delta" else 1)
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_edge_list_domain_skips_renders(self, tmp_path):
         edges = tmp_path / "g.txt"

@@ -31,7 +31,7 @@ class TestDomain:
     def test_empty_graph(self):
         d = Domain(4)
         assert d.edge_count == 0
-        assert d.degree(0) == 0
+        assert d.degrees[0] == 0
 
     def test_edges_iterates_each_once(self):
         d = build_graph([(0, 1), (1, 2), (0, 2)], 3)
@@ -96,7 +96,7 @@ class TestDomainLayout:
         assert d._offsets.tolist() == [0, 1, 4, 4, 5, 6, 6]
         assert d._dir_src.tolist() == [0, 1, 1, 1, 3, 4]
         assert d._dir_dst.tolist() == [1, 0, 3, 4, 1, 1]
-        assert d.degree(2) == 0 and d.degree(5) == 0
+        assert d.degrees[2] == 0 and d.degrees[5] == 0
 
     @pytest.mark.parametrize("edges", [(), [], np.empty((0, 2), dtype=np.int64)])
     def test_empty_edge_list(self, edges):
@@ -117,15 +117,16 @@ class TestDomainLayout:
 class TestGridSpec:
     def test_vertex_layout_row_major(self):
         g = GridSpec(4, 3)
-        assert g.vertex(0, 0) == 0
-        assert g.vertex(1, 2) == 6
-        assert g.row_col(6) == (1, 2)
+        c = g.coords_array()
+        assert c[0].tolist() == [0.0, 0.0]
+        assert c[6].tolist() == [2.0, 1.0]
+        assert c[:4, 1].tolist() == [0.0] * 4
         assert g.vertex_count == 12
 
     def test_coords_scale_with_spacing(self):
         g = GridSpec(3, 2, spacing=0.5)
         c = g.coords_array()
-        assert c[g.vertex(1, 2)].tolist() == [1.0, 0.5]
+        assert c[1 * 3 + 2].tolist() == [1.0, 0.5]
 
     @pytest.mark.parametrize("kwargs", [
         dict(width=0, height=3), dict(width=3, height=0),
@@ -150,13 +151,12 @@ class TestBuildGrid:
         assert d.edge_count == 4 * 4 + 5 * 3 + 2 * 4 * 3
 
     def test_neighborhoods(self):
-        g = GridSpec(3, 3)
-        d = build_grid(g)
-        assert d.neighbors(g.vertex(0, 0)).tolist() == [1, 3]
-        assert sorted(d.neighbors(g.vertex(1, 1)).tolist()) == [1, 3, 5, 7]
+        d = build_grid(GridSpec(3, 3))
+        assert d.neighbors(0).tolist() == [1, 3]
+        assert sorted(d.neighbors(4).tolist()) == [1, 3, 5, 7]
         d8 = build_grid(GridSpec(3, 3, connectivity="eight"))
-        assert len(d8.neighbors(g.vertex(1, 1))) == 8
-        assert len(d8.neighbors(g.vertex(0, 0))) == 3
+        assert len(d8.neighbors(4)) == 8
+        assert len(d8.neighbors(0)) == 3
 
     def test_single_vertex_grid(self):
         d = build_grid(GridSpec(1, 1))
@@ -193,9 +193,9 @@ class TestBfs:
     def test_grid_distance_is_manhattan_on_four_connected(self):
         g = GridSpec(7, 5)
         d = build_grid(g)
-        f = bfs_distances(d, [g.vertex(2, 3)])
+        f = bfs_distances(d, [2 * 7 + 3])
         for v in range(d.vertex_count):
-            r, c = g.row_col(v)
+            r, c = divmod(v, 7)
             assert f.dist[v] == abs(r - 2) + abs(c - 3)
 
     @given(st.data())

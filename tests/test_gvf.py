@@ -11,7 +11,7 @@ from gradvar import (UNREACHABLE, GridSpec, GuidingSet, InfeasibleError,
 from gradvar import gvf
 from gradvar.gvf import _pair_distances
 
-from checks import gradual_variation_ok, python_bfs
+from checks import gradual_variation_ok, guiding_set, python_bfs
 
 
 def path_domain(n):
@@ -31,16 +31,6 @@ class TestLevelTable:
 
 
 class TestGuidingSet:
-    def test_from_maps_sorts(self):
-        g = GuidingSet.from_maps({5: 2, 1: 1}, {5: 0.9, 1: 0.1})
-        assert g.vertices.tolist() == [1, 5]
-        assert g.indices.tolist() == [1, 2]
-        assert g.raw_values.tolist() == [0.1, 0.9]
-
-    def test_mismatched_keys_rejected(self):
-        with pytest.raises(ValueError):
-            GuidingSet.from_maps({1: 1}, {2: 0.0})
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             GuidingSet(vertices=np.array([], dtype=np.int64),
@@ -49,7 +39,8 @@ class TestGuidingSet:
 
     def test_index_below_one_rejected(self):
         with pytest.raises(ValueError):
-            GuidingSet.from_maps({0: 0}, {0: 0.0})
+            GuidingSet(vertices=np.array([0]), indices=np.array([0]),
+                       raw_values=np.array([0.0]))
 
 
 class TestLipschitzDelta:
@@ -160,18 +151,18 @@ class TestAutoDeltaTies:
 class TestCheckFeasibility:
     def test_adjacent_gap_two_infeasible(self):
         d = path_domain(2)
-        g = GuidingSet.from_maps({0: 1, 1: 3}, {0: 0.0, 1: 2.0})
+        g = guiding_set({0: 1, 1: 3}, {0: 0.0, 1: 2.0})
         chk = check_feasibility(d, g)
         assert not chk.feasible
         assert (chk.witness.distance, chk.witness.index_gap) == (1, 2)
 
     def test_single_guiding_feasible(self):
-        chk = check_feasibility(path_domain(4), GuidingSet.from_maps({2: 5}, {2: 1.0}))
+        chk = check_feasibility(path_domain(4), guiding_set({2: 5}, {2: 1.0}))
         assert chk.feasible and chk.witness is None
 
     def test_witness_is_maximal_violation(self):
         d = path_domain(4)
-        g = GuidingSet.from_maps({0: 1, 1: 3, 3: 9}, {0: 0, 1: 2, 3: 8})
+        g = guiding_set({0: 1, 1: 3, 3: 9}, {0: 0, 1: 2, 3: 8})
         chk = check_feasibility(d, g)
         # gaps - distances: (0,1): 2-1=1, (0,3): 8-3=5, (1,3): 6-2=4
         assert not chk.feasible
@@ -179,7 +170,7 @@ class TestCheckFeasibility:
 
     def test_disconnected_guiding_unreachable_witness(self):
         d = build_graph([(0, 1), (2, 3)], 4)
-        g = GuidingSet.from_maps({0: 1, 3: 1}, {0: 0.0, 3: 0.0})
+        g = guiding_set({0: 1, 3: 1}, {0: 0.0, 3: 0.0})
         chk = check_feasibility(d, g)
         assert not chk.feasible
         assert chk.witness.distance == UNREACHABLE
@@ -188,7 +179,7 @@ class TestCheckFeasibility:
     def test_exact_boundary_is_feasible(self):
         # d(x,y) == |i-j| is allowed
         d = path_domain(4)
-        g = GuidingSet.from_maps({0: 1, 3: 4}, {0: 0.0, 3: 3.0})
+        g = guiding_set({0: 1, 3: 4}, {0: 0.0, 3: 3.0})
         assert check_feasibility(d, g).feasible
 
 
@@ -196,7 +187,7 @@ class TestEnvelopes:
     def test_single_center_guiding(self):
         g = GridSpec(3, 3)
         d = build_grid(g)
-        gd = GuidingSet.from_maps({4: 5}, {4: 0.0})
+        gd = guiding_set({4: 5}, {4: 0.0})
         env = envelopes(d, gd, n=9)
         dist = bfs_distances(d, [4]).dist
         assert (env.lower == np.maximum(1, 5 - dist)).all()
@@ -205,13 +196,13 @@ class TestEnvelopes:
     def test_all_vertices_guiding_pins_everything(self):
         d = path_domain(4)
         idx = {0: 1, 1: 2, 2: 2, 3: 3}
-        gd = GuidingSet.from_maps(idx, {k: float(v) for k, v in idx.items()})
+        gd = guiding_set(idx, {k: float(v) for k, v in idx.items()})
         env = envelopes(d, gd, n=3)
         assert env.lower.tolist() == env.upper.tolist() == [1, 2, 2, 3]
 
     def test_infeasible_shows_crossing(self):
         d = path_domain(2)
-        gd = GuidingSet.from_maps({0: 1, 1: 3}, {0: 0.0, 1: 2.0})
+        gd = guiding_set({0: 1, 1: 3}, {0: 0.0, 1: 2.0})
         env = envelopes(d, gd, n=3)
         assert not env.feasible
         assert (env.lower > env.upper).any()
@@ -219,8 +210,7 @@ class TestEnvelopes:
     def test_envelopes_are_one_lipschitz(self):
         g = GridSpec(5, 5)
         d = build_grid(g)
-        gd = GuidingSet.from_maps({0: 2, 12: 6, 24: 3},
-                                  {0: 0.0, 12: 0.0, 24: 0.0})
+        gd = guiding_set({0: 2, 12: 6, 24: 3}, {0: 0.0, 12: 0.0, 24: 0.0})
         env = envelopes(d, gd, n=8)
         for a, b in d.edges():
             assert abs(env.lower[a] - env.lower[b]) <= 1
@@ -228,13 +218,13 @@ class TestEnvelopes:
 
     def test_unconstrained_component_spans_full_range(self):
         d = build_graph([(0, 1)], 3)
-        gd = GuidingSet.from_maps({0: 2}, {0: 0.0})
+        gd = guiding_set({0: 2}, {0: 0.0})
         env = envelopes(d, gd, n=4)
         assert (env.lower[2], env.upper[2]) == (1, 4)
 
     def test_guiding_point_is_pinned(self):
         d = path_domain(5)
-        gd = GuidingSet.from_maps({2: 3}, {2: 0.0})
+        gd = guiding_set({2: 3}, {2: 0.0})
         env = envelopes(d, gd, n=6)
         assert env.lower[2] == env.upper[2] == 3
 
@@ -243,7 +233,7 @@ class TestGvfExtend:
     def test_tight_path_unique_extension(self):
         d = path_domain(5)
         t = LevelTable(base=0.0, delta=1.0, count=5)
-        gd = GuidingSet.from_maps({0: 1, 4: 5}, {0: 0.0, 4: 4.0})
+        gd = guiding_set({0: 1, 4: 5}, {0: 0.0, 4: 4.0})
         for policy in ("midpoint", "lower", "upper"):
             f = gvf_extend(d, gd, t, policy=policy)
             assert f.idx.tolist() == [1, 2, 3, 4, 5]
@@ -254,7 +244,7 @@ class TestGvfExtend:
         g = GridSpec(5, 5)
         d = build_grid(g)
         t = LevelTable(base=0.0, delta=1.0, count=9)
-        gd = GuidingSet.from_maps({12: 5}, {12: 4.0})
+        gd = guiding_set({12: 5}, {12: 4.0})
         f = gvf_extend(d, gd, t, policy="midpoint")
         assert (f.idx == 5).all()
 
@@ -262,7 +252,7 @@ class TestGvfExtend:
         g = GridSpec(5, 5)
         d = build_grid(g)
         t = LevelTable(base=0.0, delta=1.0, count=3)
-        gd = GuidingSet.from_maps({0: 3}, {0: 2.0})
+        gd = guiding_set({0: 3}, {0: 2.0})
         f = gvf_extend(d, gd, t, policy="midpoint")
         assert f.idx[0] == 3
         assert gradual_variation_ok(d.adjacency_lists(), f.idx)
@@ -270,7 +260,7 @@ class TestGvfExtend:
     def test_infeasible_raises_with_witness(self):
         d = path_domain(2)
         t = LevelTable(base=0.0, delta=1.0, count=3)
-        gd = GuidingSet.from_maps({0: 1, 1: 3}, {0: 0.0, 1: 2.0})
+        gd = guiding_set({0: 1, 1: 3}, {0: 0.0, 1: 2.0})
         with pytest.raises(InfeasibleError) as exc:
             gvf_extend(d, gd, t)
         assert (exc.value.witness.distance, exc.value.witness.index_gap) == (1, 2)
@@ -278,14 +268,14 @@ class TestGvfExtend:
     def test_unknown_policy(self):
         d = path_domain(2)
         t = LevelTable(base=0.0, delta=1.0, count=1)
-        gd = GuidingSet.from_maps({0: 1}, {0: 0.0})
+        gd = guiding_set({0: 1}, {0: 0.0})
         with pytest.raises(ValueError, match="policy"):
             gvf_extend(d, gd, t, policy="median")
 
     def test_monotone_between_path_endpoints(self):
         d = path_domain(9)
         t = LevelTable(base=0.0, delta=1.0, count=4)
-        gd = GuidingSet.from_maps({0: 1, 8: 4}, {0: 0.0, 8: 3.0})
+        gd = guiding_set({0: 1, 8: 4}, {0: 0.0, 8: 3.0})
         f = gvf_extend(d, gd, t, policy="midpoint")
         assert (np.diff(f.idx) >= 0).all()
 
@@ -293,8 +283,7 @@ class TestGvfExtend:
         g = GridSpec(6, 4)
         d = build_grid(g)
         t = LevelTable(base=0.0, delta=1.0, count=6)
-        gd = GuidingSet.from_maps({0: 1, 13: 4, 23: 6},
-                                  {0: 0.0, 13: 3.0, 23: 5.0})
+        gd = guiding_set({0: 1, 13: 4, 23: 6}, {0: 0.0, 13: 3.0, 23: 5.0})
         a = gvf_extend(d, gd, t)
         b = gvf_extend(d, gd, t)
         assert a.idx.tobytes() == b.idx.tobytes()
@@ -532,8 +521,8 @@ class TestMultiSourceSweep:
 
 def random_guiding(rng, verts, n):
     idx = rng.integers(1, n + 1, size=len(verts))
-    return GuidingSet.from_maps({int(v): int(i) for v, i in zip(verts, idx)},
-                                {int(v): float(i) for v, i in zip(verts, idx)})
+    return guiding_set({int(v): int(i) for v, i in zip(verts, idx)},
+                       {int(v): float(i) for v, i in zip(verts, idx)})
 
 
 def scan_verdict(adjacency, guiding):
@@ -559,7 +548,7 @@ class TestComponentRule:
 
     def test_two_components_envelopes_agree(self):
         d = build_graph([(0, 1), (2, 3)], 4)
-        g = GuidingSet.from_maps({0: 1, 3: 1}, {0: 0.0, 3: 0.0})
+        g = guiding_set({0: 1, 3: 1}, {0: 0.0, 3: 0.0})
         chk = check_feasibility(d, g)
         env = envelopes(d, g, 1)
         assert chk.feasible is False and env.feasible is False
@@ -569,7 +558,7 @@ class TestComponentRule:
 
     def test_guiding_in_one_component_of_several(self):
         d = build_graph([(0, 1), (2, 3)], 5)
-        g = GuidingSet.from_maps({2: 1, 3: 2}, {2: 0.0, 3: 1.0})
+        g = guiding_set({2: 1, 3: 2}, {2: 0.0, 3: 1.0})
         assert check_feasibility(d, g).feasible
         assert envelopes(d, g, 2).feasible
         assert gvf_extend(d, g, LevelTable(0.0, 1.0, 2)).idx[[2, 3]].tolist() == [1, 2]
@@ -588,6 +577,9 @@ class TestComponentRule:
             chk = check_feasibility(d, g)
             assert chk.feasible == feasible
             assert chk.witness == witness
+            # From the pair matrix check_feasibility left, then by a sweep.
+            assert envelopes(d, g, n).feasible == feasible
+            d._pair_memo = None
             assert envelopes(d, g, n).feasible == feasible
 
     def test_lipschitz_delta_names_first_split_pair(self):
@@ -665,7 +657,7 @@ class TestExtendWitness:
     def test_disconnected_fit_raises_unreachable_witness(self, counted_check):
         d = build_graph([(0, 1), (2, 3)], 4)
         t = LevelTable(base=0.0, delta=1.0, count=2)
-        gd = GuidingSet.from_maps({0: 1, 3: 2}, {0: 0.0, 3: 1.0})
+        gd = guiding_set({0: 1, 3: 2}, {0: 0.0, 3: 1.0})
         with pytest.raises(InfeasibleError) as exc:
             gvf_extend(d, gd, t)
         assert exc.value.witness == (0, 3, UNREACHABLE, 1)

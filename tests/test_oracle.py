@@ -12,10 +12,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from gradvar import (GridSpec, GuidingSet, build_graph, build_grid,
-                     check_feasibility, envelopes)
+from gradvar import (GridSpec, build_graph, build_grid, check_feasibility,
+                     envelopes)
 
-from checks import (all_assignments, oracle_extension_exists,
+from checks import (all_assignments, guiding_set, oracle_extension_exists,
                     valid_assignment_mask)
 
 
@@ -46,8 +46,7 @@ def test_exhaustive_pairs_agree_with_brute_force(name, domain, n):
     valid = valid[valid_assignment_mask(valid, list(domain.edges()))]
     for va, vb in combinations(range(domain.vertex_count), 2):
         for ia, ib in product(range(1, n + 1), repeat=2):
-            g = GuidingSet.from_maps({va: ia, vb: ib},
-                                     {va: float(ia), vb: float(ib)})
+            g = guiding_set({va: ia, vb: ib}, {va: float(ia), vb: float(ib)})
             got = check_feasibility(domain, g).feasible
             want = oracle_extension_exists(valid, [va, vb], [ia, ib])
             assert got == want, (name, va, vb, ia, ib)
@@ -63,7 +62,7 @@ def test_random_triples_agree_with_brute_force(name, domain):
     for _ in range(120):
         verts = rng.choice(domain.vertex_count, size=3, replace=False)
         idxs = rng.integers(1, n + 1, size=3)
-        g = GuidingSet.from_maps(
+        g = guiding_set(
             {int(v): int(i) for v, i in zip(verts, idxs)},
             {int(v): float(i) for v, i in zip(verts, idxs)})
         got = check_feasibility(domain, g).feasible
@@ -81,8 +80,8 @@ def test_full_guiding_set_reduces_to_validity():
     rng = np.random.default_rng(3)
     for _ in range(80):
         assign = rng.integers(1, n + 1, size=5)
-        g = GuidingSet.from_maps({v: int(i) for v, i in enumerate(assign)},
-                                 {v: float(i) for v, i in enumerate(assign)})
+        g = guiding_set({v: int(i) for v, i in enumerate(assign)},
+                        {v: float(i) for v, i in enumerate(assign)})
         got = check_feasibility(domain, g).feasible
         row = np.nonzero((valid == assign).all(axis=1))[0][0]
         assert got == bool(mask[row])

@@ -1,4 +1,4 @@
-"""The benchmark's mesh-gvf operations, run once through the CLI and checked
+"""Every benchmark workload's operations, run once through the CLI and checked
 by the benchmark's own output checks.
 
 ``perfbench/workloads.py`` is loaded by path, unchanged, with ``perfbench/``
@@ -17,8 +17,7 @@ from gradvar.cli import main
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def _load_workloads():
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         spec = importlib.util.spec_from_file_location(
@@ -30,12 +29,16 @@ def workloads():
     return module
 
 
-def test_mesh_gvf_operations_pass_their_checks(workloads, tmp_path, capsys):
+WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS.BUILDERS))
+def test_workload_operations_pass_their_checks(name, tmp_path, capsys):
     indir, outroot = tmp_path / "in", tmp_path / "out"
     indir.mkdir()
     outroot.mkdir()
-    ops = workloads.mesh_gvf(5, str(indir), str(outroot))
-    assert [op.kind for op in ops] == ["check", "check_infeasible", "fit"]
+    ops = WORKLOADS.BUILDERS[name](5, str(indir), str(outroot))
+    assert ops
     for op in ops:
         rc = main(op.argv)
         stdout = capsys.readouterr().out

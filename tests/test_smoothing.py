@@ -45,8 +45,7 @@ class TestHarmonicRelax:
         grid = GridSpec(8, 8)
         d, truth = grid_field(grid, lambda x, y: 1.5 * x - 0.5 * y + 2.0)
         boundary = [v for v in range(64)
-                    if 0 in grid.row_col(v)
-                    or grid.row_col(v)[0] == 7 or grid.row_col(v)[1] == 7]
+                    if 0 in divmod(v, 8) or 7 in divmod(v, 8)]
         fixed = {v: float(truth.values[v]) for v in boundary}
         init = ScalarField(domain=d, values=np.zeros(64))
         out, _ = harmonic_relax(init, fixed, max_iter=5000, tol=1e-13)
