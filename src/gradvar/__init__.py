@@ -11,7 +11,7 @@ for comparison on identical inputs.
 from .baselines import (DomainFit, GaussianWeight, InversePowerWeight,
                         MlsConfig, MlsResult, SamplePoints, ShepardConfig,
                         evaluate_on_domain, mls_fit, shepard)
-from .domain import (UNREACHABLE, DistanceField, Domain, GridSpec,
+from .domain import (UNREACHABLE, Domain, GridSpec,
                      bfs_distances, build_graph, build_grid, load_mesh)
 from .fields import ScalarField
 from .fileio import (FieldCsv, ParsedSamples, atomic_write_bytes,
@@ -23,15 +23,14 @@ from .gvf import (EnvelopePair, FeasibilityCheck, GuidingSet, GvfFit,
                   check_feasibility, envelopes, fit_gvf, gvf_extend,
                   lipschitz_delta, quantize, to_scalar)
 from .metrics import Metrics, compute_metrics
-from .render import (read_pgm16, read_ppm, render_heatmap, render_heightmesh,
-                     render_pgm16)
+from .render import render_heatmap, render_heightmesh, render_pgm16
 from .smoothing import (GradientField, RelaxReport, discrete_gradient,
                         harmonic_relax, smooth_reconstruct, total_variation)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "UNREACHABLE", "Domain", "GridSpec", "DistanceField",
+    "UNREACHABLE", "Domain", "GridSpec",
     "build_grid", "build_graph", "load_mesh", "bfs_distances",
     "ScalarField",
     "LevelTable", "GuidingSet", "LevelField", "EnvelopePair", "Witness",
@@ -45,8 +44,7 @@ __all__ = [
     "ShepardConfig", "MlsResult", "DomainFit",
     "mls_fit", "shepard", "evaluate_on_domain",
     "Metrics", "compute_metrics",
-    "render_heatmap", "render_pgm16", "render_heightmesh", "read_ppm",
-    "read_pgm16",
+    "render_heatmap", "render_pgm16", "render_heightmesh",
     "ParsedSamples", "FieldCsv",
     "read_samples_csv", "snap_to_vertices", "sample_coords",
     "write_level_csv", "write_scalar_csv", "read_field_csv",

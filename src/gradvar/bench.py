@@ -153,7 +153,7 @@ def gvf_error_bound(domain: Domain, truth: ScalarField, fitted: ScalarField,
     """
     q = float(np.abs(fitted.values[sample_verts]
                      - truth.values[sample_verts]).max())
-    dist = bfs_distances(domain, sample_verts.tolist()).dist
+    dist = bfs_distances(domain, sample_verts.tolist())
     radius = int(dist.max())
     src, dst = domain.edge_pairs()
     s = float(np.abs(truth.values[src] - truth.values[dst]).max()) if src.size else 0.0

@@ -49,6 +49,17 @@ def _add_domain_flags(p: argparse.ArgumentParser) -> None:
                    help="edge-list domain ('vertices N' then 'a b' lines)")
 
 
+def _add_method_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--order", type=int, default=1, choices=[0, 1, 2],
+                   help="smoothing order for smooth, degree for mls")
+    p.add_argument("--iters", type=int, default=100,
+                   help="max harmonic relaxation iterations")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="relaxation stop threshold")
+    p.add_argument("--power", type=float, default=2.0,
+                   help="shepard inverse-distance power")
+
+
 def _parse_grid(text: str, connectivity: str, spacing: float) -> GridSpec:
     parts = text.lower().split("x")
     if len(parts) != 2:
@@ -202,19 +213,21 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _pick(text: str, choices: tuple[str, ...], what: str) -> tuple[str, ...]:
+    """A comma list drawn from ``choices``, or all of them for 'all'."""
+    picked = choices if text == "all" else tuple(text.split(","))
+    for name in picked:
+        if name not in choices:
+            raise ValueError(f"unknown {what} {name!r}; choose from {choices}")
+    return picked
+
+
 def cmd_bench(args) -> int:
     if not args.grid:
         raise ValueError("bench runs on grid domains; pass --grid WxH")
     grid = _parse_grid(args.grid, args.connectivity, args.spacing)
-    gens = GENERATORS if args.generator == "all" else \
-        tuple(args.generator.split(","))
-    for g in gens:
-        if g not in GENERATORS:
-            raise ValueError(f"unknown generator {g!r}; choose from {GENERATORS}")
-    methods = METHODS if args.method == "all" else tuple(args.method.split(","))
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    gens = _pick(args.generator, GENERATORS, "generator")
+    methods = _pick(args.method, METHODS, "method")
     rows = run_bench(grid, gens, methods, trials=args.trials, count=args.points,
                      seed=args.seed, order=args.order, power=args.power,
                      iters=args.iters, tol=args.tol)
@@ -260,18 +273,11 @@ def _build_parser() -> _Parser:
     pf.add_argument("--policy", default="midpoint",
                     choices=["midpoint", "lower", "upper"],
                     help="level choice for gvf and harmonic's gvf start")
-    pf.add_argument("--order", type=int, default=1, choices=[0, 1, 2],
-                    help="smoothing order for smooth, degree for mls")
+    _add_method_flags(pf)
     pf.add_argument("--sweeps", type=int, default=10,
                     help="Taylor-blend sweeps per smoothing round")
-    pf.add_argument("--iters", type=int, default=100,
-                    help="max harmonic relaxation iterations")
-    pf.add_argument("--tol", type=float, default=1e-9,
-                    help="relaxation stop threshold")
     pf.add_argument("--weight", default="gaussian:1",
                     help="mls weight: gaussian[:scale] or invpow:p[,eps]")
-    pf.add_argument("--power", type=float, default=2.0,
-                    help="shepard inverse-distance power")
     pf.add_argument("--out", default=".", metavar="DIR")
     pf.add_argument("--truth", metavar="FILE",
                     help="vertex,value CSV to score against")
@@ -286,11 +292,7 @@ def _build_parser() -> _Parser:
     pb.add_argument("--trials", type=int, default=3)
     pb.add_argument("--points", type=int, default=20,
                     help="samples per trial")
-    pb.add_argument("--order", type=int, default=1, choices=[0, 1, 2],
-                    help="smoothing order for smooth, degree for mls")
-    pb.add_argument("--power", type=float, default=2.0)
-    pb.add_argument("--iters", type=int, default=100)
-    pb.add_argument("--tol", type=float, default=1e-9)
+    _add_method_flags(pb)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--out", default=".", metavar="DIR")
     pb.set_defaults(func=cmd_bench)

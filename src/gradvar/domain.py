@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Marker for vertices no source can reach in a :class:`DistanceField`.
+#: Marker for vertices no source can reach in :func:`bfs_distances`.
 UNREACHABLE = -1
 
 # Internal sentinel for the sweep engine; large but far from int64 overflow.
@@ -50,7 +50,7 @@ class Domain:
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be pairs of vertex ids")
         if e.size and ((e < 0).any() or (e >= self.vertex_count).any()):
-            bad = e[((e < 0) | (e >= self.vertex_count)).any(axis=1)][0]
+            bad = e[((e < 0) | (e >= self.vertex_count)).any(axis=1)][0].tolist()
             raise ValueError(f"edge {tuple(bad)} references a vertex id out of range")
         if e.size and (e[:, 0] == e[:, 1]).any():
             v = int(e[e[:, 0] == e[:, 1]][0, 0])
@@ -153,18 +153,6 @@ class GridSpec:
         return np.stack([cols * self.spacing, rows * self.spacing], axis=1)
 
 
-@dataclass(frozen=True)
-class DistanceField:
-    """Hop counts from a source set; ``UNREACHABLE`` where no source reaches."""
-
-    sources: tuple[int, ...]
-    dist: np.ndarray
-
-    @property
-    def reachable(self) -> np.ndarray:
-        return self.dist != UNREACHABLE
-
-
 def build_grid(spec: GridSpec) -> Domain:
     """Materialize a grid domain with row-major ids and embedded coords.
 
@@ -205,19 +193,27 @@ def _records(path, sep=None) -> Iterator[tuple[int, list[str]]]:
                 yield lineno, line.split(sep)
 
 
+def _record_line(path, n: int, kind: str | None = None) -> int:
+    """File line of the ``n``-th record (from 0) of :func:`_records`, counting
+    only records whose first field is ``kind`` if given; readers call it
+    once a check on their parsed arrays fails, to name the bad line."""
+    return [lineno for lineno, fields in _records(path)
+            if kind is None or fields[0] == kind][n]
+
+
 def load_mesh(path) -> Domain:
     """Parse a minimal OBJ subset into the mesh's vertex/edge graph.
 
     Recognized records: ``v x y z`` and ``f i j k [l]`` with 1-based
     indices; ``#`` starts a comment.  Faces must be triangles or quads and
-    contribute their boundary edges.  Vertex coords keep the first two
+    contribute their boundary edges; a corner index out of range, or one a
+    face repeats, is an error.  Vertex coords keep the first two
     coordinates (x, y).  A malformed ``v``/``f`` line raises ``ValueError``
     naming the line number; other record types are ignored.
     """
     verts: list[tuple[float, float]] = []
     corners: list[int] = []      # every face's 1-based indices, in file order
     sizes: list[int] = []        # 3 or 4 corners per face
-    face_lines: list[int] = []
     for lineno, tokens in _records(path):
         kind = tokens[0]
         if kind == "v":
@@ -241,23 +237,29 @@ def load_mesh(path) -> Domain:
                     f"{path}: line {lineno}: non-integer face index") from None
             corners.extend(ids)
             sizes.append(len(ids))
-            face_lines.append(lineno)
         # Anything else (vn, vt, o, g, ...) is outside the subset; skip.
     if not verts:
         raise ValueError(f"{path}: no vertices found")
     n = len(verts)
-    ids = np.asarray(corners, dtype=np.int64)
+    try:
+        ids = np.asarray(corners, dtype=np.int64)
+    except OverflowError:  # an index past int64 fails the range test below
+        ids = np.asarray(corners, dtype=np.float64)
     size = np.asarray(sizes, dtype=np.int64)
     face = np.repeat(np.arange(len(size)), size)
-    bad = (ids < 1) | (ids > n)
-    if bad.any():
-        lineno = face_lines[int(face[np.argmax(bad)])]
-        raise ValueError(f"{path}: line {lineno}: face index out of range")
     # Each corner joins the next one of its face; the last closes the cycle.
     first = np.cumsum(size) - size
     nxt = np.arange(len(ids)) + 1
     closing = nxt == (first + size)[face]
     nxt[closing] = first[face[closing]]
+    # ids[nxt[nxt]] is a quad's opposite corner and a triangle's previous one.
+    out_of_range = (ids < 1) | (ids > n)
+    bad = out_of_range | (ids == ids[nxt]) | (ids == ids[nxt[nxt]])
+    if bad.any():
+        corner = int(np.argmax(bad))
+        lineno = _record_line(path, int(face[corner]), "f")
+        what = "index out of range" if out_of_range[corner] else "repeats a corner"
+        raise ValueError(f"{path}: line {lineno}: face {what}")
     edges = np.stack([ids - 1, ids[nxt] - 1], axis=1)
     return Domain(n, edges, coords=np.asarray(verts, dtype=np.float64))
 
@@ -353,13 +355,13 @@ def _multi_source_hops(domain: Domain, vertices: np.ndarray) -> np.ndarray:
     return out
 
 
-def bfs_distances(domain: Domain, sources) -> DistanceField:
-    """Exact multi-source shortest hop counts.
+def bfs_distances(domain: Domain, sources) -> np.ndarray:
+    """Exact multi-source shortest hop counts, one per vertex, read-only.
 
-    ``dist`` is 0 on every source, grows by at most 1 across any edge, and
+    The count is 0 on every source, grows by at most 1 across any edge, and
     is ``UNREACHABLE`` on vertices in components without a source.
     """
-    src = np.asarray(sorted(set(int(s) for s in sources)), dtype=np.int64)
+    src = np.array([int(s) for s in sources], dtype=np.int64)
     if src.size == 0:
         raise ValueError("source set must be nonempty")
     if (src < 0).any() or (src >= domain.vertex_count).any():
@@ -367,4 +369,4 @@ def bfs_distances(domain: Domain, sources) -> DistanceField:
     dist = min_offset_sweep(domain, src, np.zeros(len(src), dtype=np.int64))
     dist = np.where(dist >= _INF, np.int64(UNREACHABLE), dist)
     dist.setflags(write=False)
-    return DistanceField(sources=tuple(int(s) for s in src), dist=dist)
+    return dist

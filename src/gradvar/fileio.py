@@ -7,7 +7,6 @@ round-trip guarantee makes every CSV re-import bit-identical.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import tempfile
@@ -16,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Domain, GridSpec, _records
+from .domain import Domain, GridSpec, _record_line, _records
 from .gvf import LevelField, to_scalar
 
 
@@ -52,21 +51,24 @@ class ParsedSamples(NamedTuple):
     rows: np.ndarray
 
 
-def read_samples_csv(path) -> ParsedSamples:
-    """Parse a sample CSV; the header line selects the flavor."""
+def _csv_records(path, what: str, headers: tuple[str, ...]):
+    """(header, records after it) of a CSV whose header is one of ``headers``,
+    matched case-blind and with spaces around fields dropped."""
     records = _records(path, ",")
     _, header = next(records, (0, None))
     if header is None:
-        raise ValueError(f"{path}: empty sample file")
-    names = [h.strip().lower() for h in header]
-    if names == ["x", "y", "value"]:
-        kind, ncol = "xy", 3
-    elif names == ["vertex", "value"]:
-        kind, ncol = "vertex", 2
-    else:
-        raise ValueError(
-            f"{path}: header must be 'x,y,value' or 'vertex,value', "
-            f"got {','.join(header)!r}")
+        raise ValueError(f"{path}: empty {what} file")
+    names = ",".join(h.strip().lower() for h in header)
+    if names not in headers:
+        raise ValueError(f"{path}: header must be "
+                         f"{' or '.join(map(repr, headers))}, got {','.join(header)!r}")
+    return names, records
+
+
+def read_samples_csv(path) -> ParsedSamples:
+    """Parse a sample CSV; the header line selects the flavor."""
+    names, records = _csv_records(path, "sample", ("x,y,value", "vertex,value"))
+    kind, ncol = ("xy", 3) if names == "x,y,value" else ("vertex", 2)
     rows = []
     for lineno, parts in records:
         if len(parts) != ncol:
@@ -103,10 +105,13 @@ def snap_to_vertices(parsed: ParsedSamples, grid: GridSpec | None,
         verts = rows_ * grid.width + cols
         values = parsed.rows[:, 2]
     else:
-        verts = parsed.rows[:, 0].astype(np.int64)
-        if (verts < 0).any() or (verts >= domain.vertex_count).any():
-            bad = int(verts[(verts < 0) | (verts >= domain.vertex_count)][0])
-            raise ValueError(f"sample vertex id {bad} out of range")
+        # Checked as floats: an id beyond int64 has no integer to cast to.
+        ids = parsed.rows[:, 0]
+        bad = (ids < 0) | (ids >= domain.vertex_count)
+        if bad.any():
+            shown = repr(float(ids[bad][0])).removesuffix(".0")
+            raise ValueError(f"sample vertex id {shown} out of range")
+        verts = ids.astype(np.int64)
         values = parsed.rows[:, 1]
     out: dict[int, float] = {}
     counts: dict[int, int] = {}
@@ -150,7 +155,8 @@ def write_scalar_csv(path, values: np.ndarray) -> None:
 
 
 class FieldCsv(NamedTuple):
-    vertices: np.ndarray
+    """A field CSV's values in vertex order, and its level indices if any."""
+
     values: np.ndarray
     indices: np.ndarray | None
 
@@ -162,18 +168,9 @@ def read_field_csv(path) -> FieldCsv:
     this, or holds a non-numeric or non-finite entry, raises naming its
     file line.
     """
-    records = _records(path, ",")
-    _, header = next(records, (0, None))
-    if header is None:
-        raise ValueError(f"{path}: empty field file")
-    names = [h.strip().lower() for h in header]
-    if names == ["vertex", "index", "value"]:
-        with_index = True
-    elif names == ["vertex", "value"]:
-        with_index = False
-    else:
-        raise ValueError(
-            f"{path}: unrecognized field CSV header {','.join(header)!r}")
+    names, records = _csv_records(path, "field",
+                                  ("vertex,index,value", "vertex,value"))
+    with_index = names == "vertex,index,value"
     idxs, vals = [], []
     for lineno, parts in records:
         if len(parts) != (3 if with_index else 2):
@@ -191,12 +188,9 @@ def read_field_csv(path) -> FieldCsv:
     values = np.array(vals, dtype=np.float64)
     finite = np.isfinite(values)
     if not finite.all():
-        # Line numbers are looked up only here, off the common path.
-        row = int(np.argmin(finite))
-        lineno, _ = next(itertools.islice(_records(path, ","), row + 1, None))
+        lineno = _record_line(path, int(np.argmin(finite)) + 1)
         raise ValueError(f"{path}: line {lineno}: non-finite value")
-    return FieldCsv(vertices=np.arange(len(vals), dtype=np.int64),
-                    values=values,
+    return FieldCsv(values=values,
                     indices=np.array(idxs, dtype=np.int64) if with_index else None)
 
 
@@ -208,7 +202,8 @@ def write_metrics_json(path, payload: dict) -> None:
 
 
 def read_edge_list(path) -> tuple[int, np.ndarray]:
-    """Parse a plain-text graph: `vertices N` then one `a b` edge per line."""
+    """Parse a plain-text graph: `vertices N` (N >= 1), then one `a b` edge
+    per line that joins two distinct ids in 0..N-1."""
     count = None
     edges = []
     for lineno, tokens in _records(path):
@@ -217,18 +212,25 @@ def read_edge_list(path) -> tuple[int, np.ndarray]:
                 try:
                     count = int(tokens[1])
                 except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: bad vertex count") from None
+                    count = 0
+                if count < 1:
+                    raise ValueError(f"{path}: line {lineno}: bad vertex count"
+                                     f" {tokens[1]!r}; need a positive integer")
                 continue
             raise ValueError(
                 f"{path}: line {lineno}: expected 'vertices N' first")
         if len(tokens) != 2:
             raise ValueError(f"{path}: line {lineno}: expected 'a b'")
         try:
-            edges.append((int(tokens[0]), int(tokens[1])))
+            a, b = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ValueError(
                 f"{path}: line {lineno}: non-integer vertex id") from None
+        # Checked as Python ints, before an id too large for int64 is cast.
+        if a == b or not (0 <= a < count and 0 <= b < count):
+            raise ValueError(f"{path}: line {lineno}: edge {a} {b} must join "
+                             f"two distinct vertex ids in 0..{count - 1}")
+        edges.append((a, b))
     if count is None:
         raise ValueError(f"{path}: missing 'vertices N' line")
     return count, np.asarray(edges, dtype=np.int64).reshape(-1, 2)

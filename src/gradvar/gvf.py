@@ -228,7 +228,7 @@ def _component_witness(domain: Domain, verts: np.ndarray,
     if pairs is not None:
         reachable = pairs[0] != UNREACHABLE
     else:
-        reachable = bfs_distances(domain, [int(verts[0])]).reachable[verts]
+        reachable = bfs_distances(domain, [int(verts[0])])[verts] != UNREACHABLE
     outside = np.nonzero(~reachable)[0]
     if outside.size == 0:
         return None

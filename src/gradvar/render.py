@@ -1,8 +1,8 @@
 """Image and mesh exports for grid fields.
 
 Formats are deliberately minimal and dependency-free: binary PPM (P6)
-heatmaps, 16-bit binary PGM (P5) height images that round-trip through
-a range comment in the header, and OBJ height meshes.
+heatmaps, 16-bit binary PGM (P5) height images whose header comment
+records the value range, and OBJ height meshes.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def render_pgm16(field: ScalarField, grid: GridSpec, path) -> None:
     """Write a 16-bit binary PGM with the value range kept in a comment.
 
     Pixels are round(65535 * (v - min) / (max - min)), big-endian.  The
-    `# range <min> <max>` comment lets read_pgm16 map pixels back to
-    values, so a round-trip recovers the field within (max-min)/65535.
+    `# range <min> <max>` comment records the value range, so a reader can
+    map pixels back to values within (max-min)/65535.
     """
     z = _grid_values(field, grid)
     lo, hi = float(z.min()), float(z.max())
@@ -58,68 +58,6 @@ def render_pgm16(field: ScalarField, grid: GridSpec, path) -> None:
     header = (f"P5\n# range {lo!r} {hi!r}\n"
               f"{grid.width} {grid.height}\n65535\n").encode("ascii")
     atomic_write_bytes(path, header + pix.tobytes())
-
-
-def _read_pnm_header(data: bytes, magic: bytes):
-    """Parse a PNM header, honoring # comments; returns tokens and offset."""
-    if not data.startswith(magic):
-        raise ValueError(f"not a {magic.decode()} file")
-    tokens: list[bytes] = []
-    comments: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3:
-        if pos >= len(data):
-            raise ValueError("truncated header")
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            end = data.index(b"\n", pos)
-            comments.append(data[pos + 1:end].strip())
-            pos = end + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    return [int(t) for t in tokens], comments, pos + 1
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read a binary P6 PPM into an (height, width, 3) uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    (width, height, maxval), _, off = _read_pnm_header(data, b"P6")
-    if maxval != 255:
-        raise ValueError("only 8-bit PPM supported")
-    return np.frombuffer(data, dtype=np.uint8, count=width * height * 3,
-                         offset=off).reshape(height, width, 3)
-
-
-def read_pgm16(path) -> tuple[np.ndarray, tuple[float, float]]:
-    """Read a render_pgm16 file back into values.
-
-    Returns the (height, width) float array reconstructed through the
-    range comment, plus the (min, max) pair itself.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    (width, height, maxval), comments, off = _read_pnm_header(data, b"P5")
-    if maxval != 65535:
-        raise ValueError("expected a 16-bit PGM")
-    rng = None
-    for c in comments:
-        parts = c.split()
-        if len(parts) == 3 and parts[0] == b"range":
-            rng = (float(parts[1]), float(parts[2]))
-    if rng is None:
-        raise ValueError("missing range comment; cannot map pixels to values")
-    pix = np.frombuffer(data, dtype=">u2", count=width * height,
-                        offset=off).reshape(height, width)
-    lo, hi = rng
-    values = lo + (pix.astype(np.float64) / 65535.0) * (hi - lo)
-    return values, rng
 
 
 def render_heightmesh(field: ScalarField, grid: GridSpec, path) -> None:

@@ -6,11 +6,32 @@ queue BFS, and extension existence is decided by brute-force enumeration
 over all assignments.  Tests compare library outputs against these.
 """
 
+import importlib.util
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gradvar import GuidingSet
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """``perfbench/<name>.py`` loaded by path, unchanged, with ``perfbench/``
+    on ``sys.path`` while it loads so that its own ``import reference``
+    resolves."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules while it loads.
+        mp.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+    return module
 
 
 def gradual_variation_ok(adjacency: list[list[int]], idx) -> bool:

@@ -23,8 +23,9 @@ class TestDomain:
             build_graph([(2, 2)], 3)
 
     def test_out_of_range_edge_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            build_graph([(0, 3)], 3)
+        with pytest.raises(ValueError) as exc:
+            build_graph([(0, 1), (1, 7)], 3)
+        assert str(exc.value) == "edge (1, 7) references a vertex id out of range"
         with pytest.raises(ValueError):
             build_graph([(-1, 0)], 3)
 
@@ -171,20 +172,20 @@ class TestBuildGrid:
 class TestBfs:
     def test_single_source_path(self):
         d = path_domain(6)
-        f = bfs_distances(d, [0])
-        assert f.dist.tolist() == [0, 1, 2, 3, 4, 5]
+        dist = bfs_distances(d, [0])
+        assert dist.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_multi_source_takes_min(self):
         d = path_domain(6)
-        f = bfs_distances(d, [0, 5])
-        assert f.dist.tolist() == [0, 1, 2, 2, 1, 0]
+        dist = bfs_distances(d, [0, 5])
+        assert dist.tolist() == [0, 1, 2, 2, 1, 0]
 
     def test_unreachable_marker(self):
         d = build_graph([(0, 1)], 4)
-        f = bfs_distances(d, [0])
-        assert f.dist[1] == 1
-        assert f.dist[2] == UNREACHABLE and f.dist[3] == UNREACHABLE
-        assert f.reachable.tolist() == [True, True, False, False]
+        dist = bfs_distances(d, [0])
+        assert dist[1] == 1
+        assert dist[2] == UNREACHABLE and dist[3] == UNREACHABLE
+        assert (dist != UNREACHABLE).tolist() == [True, True, False, False]
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
@@ -193,10 +194,10 @@ class TestBfs:
     def test_grid_distance_is_manhattan_on_four_connected(self):
         g = GridSpec(7, 5)
         d = build_grid(g)
-        f = bfs_distances(d, [2 * 7 + 3])
+        dist = bfs_distances(d, [2 * 7 + 3])
         for v in range(d.vertex_count):
             r, c = divmod(v, 7)
-            assert f.dist[v] == abs(r - 2) + abs(c - 3)
+            assert dist[v] == abs(r - 2) + abs(c - 3)
 
     @given(st.data())
     def test_matches_pure_python_bfs(self, data):
@@ -207,16 +208,16 @@ class TestBfs:
         sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                      max_size=3, unique=True), label="sources")
         d = build_graph(edges, n)
-        got = bfs_distances(d, sources).dist.tolist()
+        got = bfs_distances(d, sources).tolist()
         want = python_bfs(d.adjacency_lists(), sorted(set(sources)))
         assert got == want
 
     @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 1000))
     def test_distance_is_one_lipschitz_across_edges(self, w, h, pick):
         d = build_grid(GridSpec(w, h))
-        f = bfs_distances(d, [pick % d.vertex_count])
+        dist = bfs_distances(d, [pick % d.vertex_count])
         for a, b in d.edges():
-            assert abs(f.dist[a] - f.dist[b]) <= 1
+            assert abs(dist[a] - dist[b]) <= 1
 
 
 class TestLoadMesh:
@@ -246,6 +247,12 @@ class TestLoadMesh:
         ("v 0 0 0\nf 1 2\n", "line 2"),
         ("v a b c\n", "line 1"),
         ("f 1 2 3\n", "no vertices"),
+        ("v 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 1 2\n", "line 4: face repeats a corner"),
+        ("v 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 2 3 1\n", "line 4: face repeats a corner"),
+        ("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 1 4\n",
+         "line 5: face repeats a corner"),
+        ("v 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 2 99999999999999999999\n",
+         "line 4: face index out of range"),
     ])
     def test_malformed(self, tmp_path, body, match):
         p = tmp_path / "bad.obj"

@@ -189,7 +189,7 @@ class TestEnvelopes:
         d = build_grid(g)
         gd = guiding_set({4: 5}, {4: 0.0})
         env = envelopes(d, gd, n=9)
-        dist = bfs_distances(d, [4]).dist
+        dist = bfs_distances(d, [4])
         assert (env.lower == np.maximum(1, 5 - dist)).all()
         assert (env.upper == np.minimum(9, 5 + dist)).all()
 

@@ -3,23 +3,18 @@ these tests load it by path, unchanged, and check that every name still
 resolves and every argument its hooks read still exists."""
 
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
 import pytest
 
 import gradvar.cli
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from checks import load_perfbench
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracing")
 
 
 def resolve(layer, name):

@@ -6,30 +6,13 @@ on ``sys.path`` so that its ``import reference`` resolves.  An operation
 whose output the benchmark would reject fails here first.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from gradvar.cli import main
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from checks import load_perfbench
 
-
-def _load_workloads():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", PERFBENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        # dataclasses look their module up in sys.modules while it loads.
-        mp.setitem(sys.modules, spec.name, module)
-        spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _load_workloads()
+WORKLOADS = load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("name", list(WORKLOADS.BUILDERS))
