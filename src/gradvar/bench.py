@@ -69,9 +69,9 @@ def fit_method(method: str, domain: Domain, samples, points, *,
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
-def _truth_values(name: str, grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
-    coords = grid.coords_array()
-    x, y = coords[:, 0], coords[:, 1]
+def _truth_values(name: str, domain: Domain, rng: np.random.Generator) -> np.ndarray:
+    grid = domain.grid
+    x, y = domain.coords[:, 0], domain.coords[:, 1]
     ex = max(grid.width - 1, 1) * grid.spacing
     ey = max(grid.height - 1, 1) * grid.spacing
     if name == "affine":
@@ -127,12 +127,13 @@ class BenchCase(NamedTuple):
     points: SamplePoints
 
 
-def make_case(name: str, grid: GridSpec, domain: Domain, seed: int,
-              trial: int, count: int) -> BenchCase:
-    """Deterministically generate one trial's truth surface and samples."""
+def make_case(name: str, domain: Domain, seed: int, trial: int,
+              count: int) -> BenchCase:
+    """Deterministically generate one trial's truth surface and samples on a
+    :func:`build_grid` domain."""
     rng = np.random.default_rng([seed, trial, GENERATORS.index(name)])
-    truth = ScalarField(domain=domain, values=_truth_values(name, grid, rng))
-    verts = _sample_vertices(name, grid, rng, count, trial)
+    truth = ScalarField(domain=domain, values=_truth_values(name, domain, rng))
+    verts = _sample_vertices(name, domain.grid, rng, count, trial)
     vmap = {int(v): float(truth.values[v]) for v in verts}
     points = SamplePoints(xy=domain.coords[verts],
                           values=truth.values[verts])
@@ -140,7 +141,7 @@ def make_case(name: str, grid: GridSpec, domain: Domain, seed: int,
                      points=points)
 
 
-def gvf_error_bound(domain: Domain, truth: ScalarField, fitted: ScalarField,
+def gvf_error_bound(truth: ScalarField, fitted: ScalarField,
                     sample_verts: np.ndarray, delta: float) -> float:
     """A-priori max-error bound for the level-extension fit.
 
@@ -149,8 +150,9 @@ def gvf_error_bound(domain: Domain, truth: ScalarField, fitted: ScalarField,
     Walking at most R hops (R = covering radius of the sample set)
     changes the fit by at most delta per hop and the truth by at most
     the largest truth jump s across any edge.  Hence
-    max error <= q + R * (delta + s).
+    max error <= q + R * (delta + s), on the truth's domain.
     """
+    domain = truth.domain
     q = float(np.abs(fitted.values[sample_verts]
                      - truth.values[sample_verts]).max())
     dist = bfs_distances(domain, sample_verts.tolist())
@@ -191,7 +193,11 @@ def run_bench(grid: GridSpec, generators, methods, trials: int, count: int,
               iters: int = 100, tol: float = 1e-9,
               verbose: bool = True) -> list[BenchRow]:
     """Run every (trial, generator, method) combination on one grid, each
-    through :func:`fit_method` with its defaults for the options not passed."""
+    through :func:`fit_method` with its defaults for the options not passed.
+
+    Prints nothing: ``verbose`` is ignored, and stays in the signature
+    only because the acceptance test of criterion C8 passes it.
+    """
     if trials < 1 or count < 1:
         raise ValueError("trials and sample count must be positive")
     domain = build_grid(grid)
@@ -199,7 +205,7 @@ def run_bench(grid: GridSpec, generators, methods, trials: int, count: int,
     rows: list[BenchRow] = []
     for trial in range(trials):
         for gen in generators:
-            case = make_case(gen, grid, domain, seed, trial, count)
+            case = make_case(gen, domain, seed, trial, count)
             for method in methods:
                 try:
                     field, _, report = fit_method(
@@ -208,16 +214,13 @@ def run_bench(grid: GridSpec, generators, methods, trials: int, count: int,
                         power=power)
                     bound = None
                     if method == "gvf":
-                        bound = gvf_error_bound(domain, case.truth, field,
+                        bound = gvf_error_bound(case.truth, field,
                                                 case.sample_verts, report["delta"])
-                    m = compute_metrics(field, case.truth, grid=grid)
+                    m = compute_metrics(field, case.truth)
                     rows.append(BenchRow(trial, gen, method, m.rmse,
                                          m.max_abs_error, m.tv_gradient,
                                          report.get("fallback_vertices", 0),
                                          bound, ""))
-                    if verbose and bound is not None:
-                        print(f"trial {trial} {gen}: gvf max-error bound "
-                              f"{bound!r} (observed rmse {m.rmse!r})")
                 except Exception as exc:  # noqa: BLE001 - rows record failures
                     rows.append(BenchRow(trial, gen, method, None, None, None,
                                          0, None, f"{type(exc).__name__}: {exc}"))

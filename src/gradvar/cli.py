@@ -60,30 +60,25 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
                    help="shepard inverse-distance power")
 
 
-def _parse_grid(text: str, connectivity: str, spacing: float) -> GridSpec:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"--grid wants WxH, got {text!r}")
-    try:
-        w, h = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"--grid wants integers WxH, got {text!r}") from None
-    return GridSpec(width=w, height=h,
-                    connectivity="four" if connectivity == "4" else "eight",
-                    spacing=spacing)
-
-
-def _resolve_domain(args) -> tuple[Domain, GridSpec | None]:
+def _resolve_domain(args) -> Domain:
     picked = [x for x in (args.grid, args.mesh, args.edges) if x]
     if len(picked) != 1:
         raise ValueError("specify exactly one of --grid, --mesh, --edges")
-    if args.grid:
-        grid = _parse_grid(args.grid, args.connectivity, args.spacing)
-        return build_grid(grid), grid
     if args.mesh:
-        return load_mesh(args.mesh), None
-    count, edges = read_edge_list(args.edges)
-    return build_graph(edges, count), None
+        return load_mesh(args.mesh)
+    if args.edges:
+        count, edges = read_edge_list(args.edges)
+        return build_graph(edges, count)
+    parts = args.grid.lower().split("x")
+    if len(parts) != 2:
+        raise ValueError(f"--grid wants WxH, got {args.grid!r}")
+    try:
+        w, h = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"--grid wants integers WxH, got {args.grid!r}") from None
+    return build_grid(GridSpec(
+        width=w, height=h, spacing=args.spacing,
+        connectivity="four" if args.connectivity == "4" else "eight"))
 
 
 def _parse_delta(text: str) -> float | None:
@@ -93,8 +88,8 @@ def _parse_delta(text: str) -> float | None:
         value = float(text)
     except ValueError:
         raise ValueError(f"--delta wants a number or 'auto', got {text!r}") from None
-    if not value > 0:
-        raise ValueError("--delta must be positive")
+    if not 0 < value < float("inf"):
+        raise ValueError("--delta must be positive and finite")
     return value
 
 
@@ -138,8 +133,8 @@ def _domain_description(args) -> dict:
 
 
 def cmd_check(args) -> int:
-    domain, grid = _resolve_domain(args)
-    vmap = snap_to_vertices(read_samples_csv(args.samples), grid, domain)
+    domain = _resolve_domain(args)
+    vmap = snap_to_vertices(read_samples_csv(args.samples), domain)
     delta = _parse_delta(args.delta)
     if delta is None:
         delta = lipschitz_delta(domain, vmap)
@@ -153,21 +148,21 @@ def cmd_check(args) -> int:
     return 2
 
 
-def _write_renders(field: ScalarField, grid: GridSpec, out: str) -> list[str]:
+def _write_renders(field: ScalarField, out: str) -> list[str]:
     written = []
     for name, writer in (("heatmap.ppm", render_heatmap),
                          ("height.pgm", render_pgm16),
                          ("height.obj", render_heightmesh)):
         path = os.path.join(out, name)
-        writer(field, grid, path)
+        writer(field, path)
         written.append(path)
     return written
 
 
 def cmd_fit(args) -> int:
-    domain, grid = _resolve_domain(args)
+    domain = _resolve_domain(args)
     parsed = read_samples_csv(args.samples)
-    vmap = snap_to_vertices(parsed, grid, domain)
+    vmap = snap_to_vertices(parsed, domain)
     delta = _parse_delta(args.delta)
     weight = _parse_weight(args.weight)
     truth = None
@@ -186,16 +181,16 @@ def cmd_fit(args) -> int:
         write_level_csv(written[0], levels)
     else:
         write_scalar_csv(written[0], scalar.values)
-    if grid is not None:
-        written.extend(_write_renders(scalar, grid, args.out))
+    if domain.grid is not None:
+        written.extend(_write_renders(scalar, args.out))
 
     payload = {"method": args.method, **report}
     if truth is not None:
-        m = compute_metrics(scalar, truth, grid=grid)
+        m = compute_metrics(scalar, truth)
         payload.update(rmse=m.rmse, max_abs_error=m.max_abs_error,
                        tv_gradient=m.tv_gradient)
     else:
-        payload["tv_gradient"] = _tv_gradient(scalar, grid)
+        payload["tv_gradient"] = _tv_gradient(scalar)
     metrics_path = os.path.join(args.out, "metrics.json")
     write_metrics_json(metrics_path, payload)
     written.append(metrics_path)
@@ -223,14 +218,18 @@ def _pick(text: str, choices: tuple[str, ...], what: str) -> tuple[str, ...]:
 
 
 def cmd_bench(args) -> int:
-    if not args.grid:
+    grid = _resolve_domain(args).grid
+    if grid is None:
         raise ValueError("bench runs on grid domains; pass --grid WxH")
-    grid = _parse_grid(args.grid, args.connectivity, args.spacing)
     gens = _pick(args.generator, GENERATORS, "generator")
     methods = _pick(args.method, METHODS, "method")
     rows = run_bench(grid, gens, methods, trials=args.trials, count=args.points,
                      seed=args.seed, order=args.order, power=args.power,
                      iters=args.iters, tol=args.tol)
+    for r in rows:
+        if r.gvf_error_bound is not None:
+            print(f"trial {r.trial} {r.generator}: gvf max-error bound "
+                  f"{r.gvf_error_bound!r} (observed rmse {r.rmse!r})")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "bench.csv")
     write_bench_csv(path, rows)
@@ -240,13 +239,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if not args.grid:
+    domain = _resolve_domain(args)
+    if domain.grid is None:
         raise ValueError("render needs a grid domain; pass --grid WxH")
-    grid = _parse_grid(args.grid, args.connectivity, args.spacing)
-    field = _read_field(args.field, build_grid(grid),
+    field = _read_field(args.field, domain,
                         "field length does not match the grid")
     os.makedirs(args.out, exist_ok=True)
-    for path in _write_renders(field, grid, args.out):
+    for path in _write_renders(field, args.out):
         print(f"wrote {path}")
     return 0
 

@@ -26,17 +26,17 @@ class Domain:
     Adjacency is stored compressed and sorted per vertex.  Symmetry,
     neighbor dedup and loop-freedom are enforced at construction, so the
     rest of the package can rely on them.  Instances never mutate after
-    construction; all exposed arrays are read-only views.  ``_grid`` is the
+    construction; all exposed arrays are read-only views.  ``grid`` is the
     :class:`GridSpec` of a domain made by :func:`build_grid` and ``None`` on
-    every other domain; it lets grid-only code use the raster layout.
-    ``_pair_memo`` holds the last pair-distance matrix the level-set code
-    computed, as read-only (vertices, matrix), so that a check at the auto
-    delta runs its sweeps once and the component rule reads its row 0; it
-    is a cache, not part of the graph.
+    every other domain; renders, gradients and sample snapping read the
+    raster layout from it.  ``_pair_memo`` holds the last pair-distance
+    matrix the level-set code computed, as read-only (vertices, matrix), so
+    that a check at the auto delta runs its sweeps once and the component
+    rule reads its row 0; it is a cache, not part of the graph.
     """
 
     __slots__ = ("vertex_count", "coords", "_offsets", "_dir_src", "_dir_dst",
-                 "_grid", "_pair_memo")
+                 "grid", "_pair_memo")
 
     def __init__(self, vertex_count: int, edges=(), coords=None):
         if vertex_count < 1:
@@ -69,7 +69,7 @@ class Domain:
         self._dir_src, self._dir_dst = np.divmod(key[first], n)
         counts = np.bincount(self._dir_src, minlength=n)
         self._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self._grid = None
+        self.grid = None
         self._pair_memo = None
 
         if coords is None:
@@ -143,24 +143,18 @@ class GridSpec:
         if not 0 < self.spacing < np.inf:
             raise ValueError("spacing must be positive and finite")
 
-    @property
-    def vertex_count(self) -> int:
-        return self.width * self.height
-
-    def coords_array(self) -> np.ndarray:
-        cols = np.tile(np.arange(self.width), self.height)
-        rows = np.repeat(np.arange(self.height), self.width)
-        return np.stack([cols * self.spacing, rows * self.spacing], axis=1)
-
 
 def build_grid(spec: GridSpec) -> Domain:
     """Materialize a grid domain with row-major ids and embedded coords.
 
-    The domain records ``spec``, so pair distances on it take the closed
-    form (Manhattan for four-, Chebyshev for eight-connectivity).
+    The domain records ``spec`` as its ``grid``, so pair distances on it
+    take the closed form (Manhattan for four-, Chebyshev for
+    eight-connectivity).
     """
     w, h = spec.width, spec.height
     idx = np.arange(w * h, dtype=np.int64).reshape(h, w)
+    # (x, y) is (column, row) times the spacing.
+    coords = np.stack(np.divmod(idx.ravel(), w)[::-1], axis=1) * spec.spacing
     parts = [
         np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1),
         np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1),
@@ -168,8 +162,8 @@ def build_grid(spec: GridSpec) -> Domain:
     if spec.connectivity == "eight":
         parts.append(np.stack([idx[:-1, :-1].ravel(), idx[1:, 1:].ravel()], axis=1))
         parts.append(np.stack([idx[:-1, 1:].ravel(), idx[1:, :-1].ravel()], axis=1))
-    domain = Domain(w * h, np.vstack(parts), coords=spec.coords_array())
-    domain._grid = spec
+    domain = Domain(w * h, np.vstack(parts), coords=coords)
+    domain.grid = spec
     return domain
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Domain, GridSpec, _record_line, _records
+from .domain import Domain, _record_line, _records
 from .gvf import LevelField, to_scalar
 
 
@@ -87,14 +87,26 @@ def read_samples_csv(path) -> ParsedSamples:
     return ParsedSamples(kind=kind, rows=arr)
 
 
-def snap_to_vertices(parsed: ParsedSamples, grid: GridSpec | None,
-                     domain: Domain) -> dict[int, float]:
+def _vertex_ids(parsed: ParsedSamples, domain: Domain) -> np.ndarray:
+    """The vertex ids of `vertex,value` rows, each checked to be on ``domain``."""
+    # Checked as floats: an id beyond int64 has no integer to cast to.
+    ids = parsed.rows[:, 0]
+    bad = (ids < 0) | (ids >= domain.vertex_count)
+    if bad.any():
+        shown = repr(float(ids[bad][0])).removesuffix(".0")
+        raise ValueError(f"sample vertex id {shown} out of range")
+    return ids.astype(np.int64)
+
+
+def snap_to_vertices(parsed: ParsedSamples, domain: Domain) -> dict[int, float]:
     """Resolve parsed samples to a vertex -> value map.
 
-    `x,y,value` rows snap to the nearest grid vertex (ties toward the
-    larger row/column); rows landing on the same vertex merge by mean
-    with a warning.  `vertex,value` rows resolve directly on any domain.
+    `x,y,value` rows snap to the nearest vertex of the domain's grid (ties
+    toward the larger row/column), so they need a :func:`build_grid`
+    domain; rows landing on the same vertex merge by mean with a warning.
+    `vertex,value` rows resolve directly on any domain.
     """
+    grid = domain.grid
     if parsed.kind == "xy":
         if grid is None:
             raise ValueError("x,y,value samples need a grid domain to snap to")
@@ -105,13 +117,7 @@ def snap_to_vertices(parsed: ParsedSamples, grid: GridSpec | None,
         verts = rows_ * grid.width + cols
         values = parsed.rows[:, 2]
     else:
-        # Checked as floats: an id beyond int64 has no integer to cast to.
-        ids = parsed.rows[:, 0]
-        bad = (ids < 0) | (ids >= domain.vertex_count)
-        if bad.any():
-            shown = repr(float(ids[bad][0])).removesuffix(".0")
-            raise ValueError(f"sample vertex id {shown} out of range")
-        verts = ids.astype(np.int64)
+        verts = _vertex_ids(parsed, domain)
         values = parsed.rows[:, 1]
     out: dict[int, float] = {}
     counts: dict[int, int] = {}
@@ -132,7 +138,7 @@ def sample_coords(parsed: ParsedSamples, domain: Domain) -> np.ndarray:
     if domain.coords is None:
         raise ValueError("vertex,value samples on a domain without coordinates "
                          "cannot feed coordinate-based methods")
-    verts = parsed.rows[:, 0].astype(np.int64)
+    verts = _vertex_ids(parsed, domain)
     return np.column_stack([domain.coords[verts], parsed.rows[:, 1]])
 
 

@@ -185,7 +185,7 @@ def _pair_distances(domain: Domain, vertices: np.ndarray) -> np.ndarray:
     out = _memoized_pairs(domain, vertices)
     if out is not None:
         return out
-    grid = domain._grid
+    grid = domain.grid
     if grid is not None:
         rows, cols = np.divmod(vertices, grid.width)
         dr = np.abs(rows[:, None] - rows[None, :])
@@ -222,7 +222,7 @@ def _component_witness(domain: Domain, verts: np.ndarray,
     Reachability from the first vertex is row 0 of the memoized pair matrix
     when that matrix is of ``verts``, and one sweep otherwise.
     """
-    if domain._grid is not None or len(verts) < 2:
+    if domain.grid is not None or len(verts) < 2:
         return None
     pairs = _memoized_pairs(domain, verts)
     if pairs is not None:
@@ -284,13 +284,19 @@ def quantize(domain: Domain, samples: Mapping[int, float],
     the top level sits below the maximum sample whenever (max - min) /
     delta is fractional, so quantization error is < delta there and
     <= delta/2 everywhere else.  Raw values are preserved in the returned
-    guiding set.
+    guiding set.  (max - min) / delta must be below 2**53: past that a
+    float no longer resolves one level, and indices would near the sweep
+    sentinel 2**60.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     verts, vals = _sample_arrays(domain, samples)
     base = float(vals.min())
-    count = max(1, int(np.floor((float(vals.max()) - base) / delta)) + 1)
+    span = (float(vals.max()) - base) / delta
+    if not span < 2.0 ** 53:
+        raise ValueError(f"delta {delta!r} is too small for the sample range: "
+                         f"(max - min) / delta must be below 2**53")
+    count = max(1, int(np.floor(span)) + 1)
     t = (vals - base) / delta
     # Nearest level with halves rounding down: k = ceil(t - 1/2), where a t
     # within float error of a half level counts as that half.

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GridSpec
 from .fields import ScalarField
 from .smoothing import discrete_gradient, total_variation
 
@@ -27,14 +26,13 @@ class Metrics:
             raise ValueError("rmse cannot exceed max_abs_error")
 
 
-def compute_metrics(field: ScalarField, truth: ScalarField,
-                    grid: GridSpec | None = None) -> Metrics:
+def compute_metrics(field: ScalarField, truth: ScalarField) -> Metrics:
     """Compare a field against ground truth on the same domain.
 
     tv_gradient is the total variation of the finite-difference gradient
-    on a grid at least 2 wide and 2 high; without grid structure, or on a
-    one-wide grid, the gradient stencil is undefined, so the field's own
-    total variation substitutes.
+    on a :func:`build_grid` domain at least 2 wide and 2 high; on other
+    domains, or on a one-wide grid, the gradient stencil is undefined, so
+    the field's own total variation substitutes.
     """
     if field.domain is not truth.domain and \
             field.domain.vertex_count != truth.domain.vertex_count:
@@ -43,12 +41,13 @@ def compute_metrics(field: ScalarField, truth: ScalarField,
     rmse = float(np.sqrt(np.mean(np.square(err))))
     max_abs = float(np.abs(err).max())
     return Metrics(rmse=rmse, max_abs_error=max_abs,
-                   tv_gradient=_tv_gradient(field, grid))
+                   tv_gradient=_tv_gradient(field))
 
 
-def _tv_gradient(field: ScalarField, grid: GridSpec | None) -> float:
+def _tv_gradient(field: ScalarField) -> float:
     """The smoothness proxy: TV of the gradient, or of the field itself
-    where there is no grid or a grid side is 1 (no gradient stencil)."""
+    where its domain has no grid or a grid side is 1 (no gradient stencil)."""
+    grid = field.domain.grid
     if grid is not None and grid.width >= 2 and grid.height >= 2:
         return total_variation(discrete_gradient(field, grid))
     return total_variation(field)

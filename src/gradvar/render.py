@@ -9,25 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import GridSpec
 from .fields import ScalarField
 from .fileio import atomic_write_bytes, atomic_write_text
 
 
-def _grid_values(field: ScalarField, grid: GridSpec) -> np.ndarray:
-    if field.domain.vertex_count != grid.vertex_count:
-        raise ValueError("field length does not match the grid; "
-                         "rendering needs a grid domain")
-    return field.values.reshape(grid.height, grid.width)
+def _grid_values(field: ScalarField):
+    """The field's grid and its values as a height x width array."""
+    grid = field.domain.grid
+    if grid is None:
+        raise ValueError("rendering needs a grid domain")
+    return grid, field.values.reshape(grid.height, grid.width)
 
 
-def render_heatmap(field: ScalarField, grid: GridSpec, path) -> None:
+def render_heatmap(field: ScalarField, path) -> None:
     """Write a binary PPM with a linear blue-to-red map over [min, max].
 
     The lowest value renders pure blue (0, 0, 255), the highest pure red
     (255, 0, 0); a constant field renders mid-gray.
     """
-    z = _grid_values(field, grid)
+    grid, z = _grid_values(field)
     lo, hi = float(z.min()), float(z.max())
     if hi == lo:
         rgb = np.full((grid.height, grid.width, 3), 128, dtype=np.uint8)
@@ -41,32 +41,29 @@ def render_heatmap(field: ScalarField, grid: GridSpec, path) -> None:
     atomic_write_bytes(path, header + rgb.tobytes())
 
 
-def render_pgm16(field: ScalarField, grid: GridSpec, path) -> None:
+def render_pgm16(field: ScalarField, path) -> None:
     """Write a 16-bit binary PGM with the value range kept in a comment.
 
     Pixels are round(65535 * (v - min) / (max - min)), big-endian.  The
     `# range <min> <max>` comment records the value range, so a reader can
     map pixels back to values within (max-min)/65535.
     """
-    z = _grid_values(field, grid)
+    grid, z = _grid_values(field)
     lo, hi = float(z.min()), float(z.max())
-    if hi == lo:
-        pix = np.zeros((grid.height, grid.width), dtype=">u2")
-    else:
-        t = (z - lo) / (hi - lo)
-        pix = np.rint(65535 * t).astype(">u2")
+    t = (z - lo) / (hi - lo) if hi > lo else np.zeros_like(z)
+    pix = np.rint(65535 * t).astype(">u2")
     header = (f"P5\n# range {lo!r} {hi!r}\n"
               f"{grid.width} {grid.height}\n65535\n").encode("ascii")
     atomic_write_bytes(path, header + pix.tobytes())
 
 
-def render_heightmesh(field: ScalarField, grid: GridSpec, path) -> None:
+def render_heightmesh(field: ScalarField, path) -> None:
     """Write an OBJ surface with one vertex per grid point.
 
     Vertices sit at (x, y, value); each grid cell becomes two triangles,
     so a WxH grid yields W*H vertices and 2(W-1)(H-1) faces.
     """
-    z = _grid_values(field, grid)
+    grid, z = _grid_values(field)
     xs = [repr(c * grid.spacing) for c in range(grid.width)]
     rows = []
     for r, zrow in enumerate(z.tolist()):

@@ -35,7 +35,6 @@ class GradientField:
     """Per-vertex first-derivative components on a grid domain."""
 
     domain: Domain
-    grid: GridSpec
     gx: np.ndarray
     gy: np.ndarray
 
@@ -106,17 +105,17 @@ def discrete_gradient(field: ScalarField, grid: GridSpec) -> GradientField:
     Central differences (f(x+h) - f(x-h)) / 2h in the interior, one-sided
     two-point differences on the borders, h = grid spacing.  Exact for
     affine fields everywhere and for quadratics away from the borders.
+    ``grid`` must be the field's domain's own grid.
     """
-    if field.domain.vertex_count != grid.vertex_count:
-        raise ValueError("field length does not match the grid")
+    if grid != field.domain.grid:
+        raise ValueError("grid does not match the field's domain")
     if grid.width < 2:
         raise ValueError("x-derivative undefined: grid width < 2")
     if grid.height < 2:
         raise ValueError("y-derivative undefined: grid height < 2")
     z = field.values.reshape(grid.height, grid.width)
     gy, gx = np.gradient(z, grid.spacing)
-    return GradientField(domain=field.domain, grid=grid,
-                         gx=gx.ravel(), gy=gy.ravel())
+    return GradientField(domain=field.domain, gx=gx.ravel(), gy=gy.ravel())
 
 
 def total_variation(field) -> float:
@@ -188,16 +187,11 @@ def smooth_reconstruct(dom, samples: Mapping[int, float], order: int = 1,
         raise ValueError("order must be 0, 1 or 2")
     if sweeps < 0:
         raise ValueError("sweeps must be >= 0")
-    if isinstance(dom, GridSpec):
-        grid = dom
-        domain = build_grid(grid)
-    elif isinstance(dom, Domain):
-        grid = dom._grid
-        domain = dom
-        if order >= 1 and grid is None:
-            raise ValueError("orders >= 1 need a grid domain for derivatives")
-    else:
+    domain = build_grid(dom) if isinstance(dom, GridSpec) else dom
+    if not isinstance(domain, Domain):
         raise TypeError("dom must be a GridSpec or Domain")
+    if order >= 1 and domain.grid is None:
+        raise ValueError("orders >= 1 need a grid domain for derivatives")
 
     fit = fit_gvf(domain, samples)
     sample_verts = fit.guiding.vertices
@@ -210,7 +204,7 @@ def smooth_reconstruct(dom, samples: Mapping[int, float], order: int = 1,
     coords = domain.coords
     for _ in range(order):
         field = ScalarField(domain=domain, values=values)
-        grad = discrete_gradient(field, grid)
+        grad = discrete_gradient(field, domain.grid)
         gx_fit = fit_gvf(domain, {int(v): float(grad.gx[v]) for v in sample_verts})
         gy_fit = fit_gvf(domain, {int(v): float(grad.gy[v]) for v in sample_verts})
         gx_s = to_scalar(gx_fit.field).values

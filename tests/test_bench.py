@@ -19,8 +19,8 @@ def _direct(method, domain, case, weight):
     if method == "gvf":
         fit = fit_gvf(domain, case.sample_map)
         field = to_scalar(fit.field)
-        return field, 0, gvf_error_bound(domain, case.truth, field,
-                                         case.sample_verts, fit.delta)
+        return field, 0, gvf_error_bound(case.truth, field, case.sample_verts,
+                                         fit.delta)
     if method == "harmonic":
         start = to_scalar(fit_gvf(domain, case.sample_map).field)
         return harmonic_relax(start, case.sample_map, max_iter=100,
@@ -43,9 +43,9 @@ def test_rows_equal_direct_library_calls():
     assert len(rows) == 2 * len(GENERATORS) * len(methods)
     for row in rows:
         assert row.error == "", (row.generator, row.method, row.error)
-        case = make_case(row.generator, grid, domain, 5, row.trial, 9)
+        case = make_case(row.generator, domain, 5, row.trial, 9)
         field, fallbacks, bound = _direct(row.method, domain, case, weight)
-        m = compute_metrics(field, case.truth, grid=grid)
+        m = compute_metrics(field, case.truth)
         assert (row.rmse, row.max_abs_error, row.tv_gradient) == \
             (m.rmse, m.max_abs_error, m.tv_gradient), (row.generator, row.method)
         assert row.fallback_count == fallbacks
@@ -63,14 +63,13 @@ def test_bench_all_gives_every_generator_a_smooth_row(tmp_path, capsys):
     assert len(rows) == len(GENERATORS) * len(METHODS)
     smooth = {r["generator"]: r for r in rows if r["method"] == "smooth"}
     assert set(smooth) == set(GENERATORS)
-    grid = GridSpec(14, 12)
-    domain = build_grid(grid)
+    domain = build_grid(GridSpec(14, 12))
     for gen, row in smooth.items():
         assert row["error"] == "", (gen, row["error"])
         # --order is the smoothing order, as it is for `fit`.
-        case = make_case(gen, grid, domain, 3, 0, 10)
+        case = make_case(gen, domain, 3, 0, 10)
         want = compute_metrics(smooth_reconstruct(domain, case.sample_map, order=2),
-                               case.truth, grid=grid)
+                               case.truth)
         assert float(row["rmse"]) == want.rmse
     assert "(25 rows, 0 failed)" in capsys.readouterr().out
 

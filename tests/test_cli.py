@@ -69,6 +69,17 @@ class TestCheck:
                    "--samples", corner_samples])
         assert rc == 1
         assert "exactly one" in capsys.readouterr().err
+        mesh = tmp_path / "m.obj"
+        mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        field = tmp_path / "f.csv"
+        write_scalar_csv(field, np.arange(16.0))
+        for command in (["bench"], ["render", "--field", str(field)]):
+            for other in (["--mesh", str(mesh)], ["--edges", str(edges)]):
+                rc = main([*command, "--grid", "4x4", *other,
+                           "--out", str(tmp_path / "out")])
+                assert rc == 1
+                assert "exactly one" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--grid", "3by3"], "--grid wants WxH, got '3by3'"),
@@ -78,8 +89,13 @@ class TestCheck:
         (["--grid", "4x4", "--delta", "abc"],
          "--delta wants a number or 'auto', got 'abc'"),
         (["--grid", "4x4", "--delta", "-1"], "--delta must be positive"),
+        (["--grid", "4x4", "--delta", "inf"], "--delta must be positive and finite"),
+        (["--grid", "4x4", "--delta", "nan"], "--delta must be positive and finite"),
+        # 3.0 / 1e-300 levels are past what a float index resolves.
+        (["--grid", "4x4", "--delta", "1e-300"],
+         "delta 1e-300 is too small for the sample range"),
     ], ids=["grid-by", "grid-letter", "spacing-inf", "spacing-nan", "delta-word",
-            "delta-negative"])
+            "delta-negative", "delta-inf", "delta-nan", "delta-tiny"])
     def test_bad_values_exit_one(self, corner_samples, capsys, flags, message):
         rc = main(["check", "--samples", corner_samples, *flags])
         assert rc == 1
@@ -349,13 +365,14 @@ class TestFit:
         (["--method", "mls", "--weight", "invpow:2200"],
          "MLS failed at vertex 2: zero total weight"),
         (["--delta", "0.4"], "infeasible: vertices 0 and 15"),
+        (["--delta", "1e-300"], "delta 1e-300 is too small for the sample range"),
     ], ids=["weight-on-gvf", "shepard-power", "mls-zero-weight",
-            "infeasible-delta"])
+            "infeasible-delta", "delta-too-small"])
     def test_failed_fit_writes_nothing(self, corner_samples, tmp_path, capsys,
                                        extra, message):
         out = tmp_path / "out"
         rc = main(grid_args(corner_samples, out, *extra))
-        assert rc == (2 if extra[0] == "--delta" else 1)
+        assert rc == (2 if message.startswith("infeasible") else 1)
         assert message in capsys.readouterr().err
         assert not out.exists()
 

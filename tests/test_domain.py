@@ -108,25 +108,24 @@ class TestDomainLayout:
 
     def test_only_build_grid_records_its_grid(self, tmp_path):
         g = GridSpec(3, 2, connectivity="eight")
-        assert build_grid(g)._grid == g
+        assert build_grid(g).grid == g
         mesh = tmp_path / "m.obj"
         mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
         for d in (Domain(3, [(0, 1)]), build_graph([(0, 1)], 2), load_mesh(mesh)):
-            assert d._grid is None
+            assert d.grid is None
 
 
 class TestGridSpec:
     def test_vertex_layout_row_major(self):
-        g = GridSpec(4, 3)
-        c = g.coords_array()
+        d = build_grid(GridSpec(4, 3))
+        c = d.coords
         assert c[0].tolist() == [0.0, 0.0]
         assert c[6].tolist() == [2.0, 1.0]
         assert c[:4, 1].tolist() == [0.0] * 4
-        assert g.vertex_count == 12
+        assert d.vertex_count == 12
 
     def test_coords_scale_with_spacing(self):
-        g = GridSpec(3, 2, spacing=0.5)
-        c = g.coords_array()
+        c = build_grid(GridSpec(3, 2, spacing=0.5)).coords
         assert c[1 * 3 + 2].tolist() == [1.0, 0.5]
 
     @pytest.mark.parametrize("kwargs", [

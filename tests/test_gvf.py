@@ -101,6 +101,19 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(path_domain(2), {0: 0.0}, delta=0.0)
 
+    def test_delta_too_small_for_the_range(self):
+        # Past 2**53 levels a float t no longer resolves one level, so such
+        # a delta is refused rather than cast to a wrapped index.
+        d = path_domain(2)
+        t, g = quantize(d, {0: 0.0, 1: 1.0}, delta=2.0 ** -40)
+        assert (t.count, g.indices.tolist()) == (2 ** 40 + 1, [1, 2 ** 40 + 1])
+        assert quantize(d, {0: 0.0, 1: 1.0}, delta=2.0 ** -52)[0].count == 2 ** 52 + 1
+        for delta in (2.0 ** -53, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match=f"delta {delta!r} is too small"):
+                quantize(d, {0: 0.0, 1: 1.0}, delta=delta)
+            with pytest.raises(ValueError, match="too small"):
+                fit_gvf(d, {0: 0.0, 1: 1.0}, delta=delta)
+
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6, unique=True),
            st.floats(0.01, 10))
     def test_snaps_to_nearest_available_level(self, values, delta):
@@ -427,7 +440,7 @@ class TestGridMetric:
         grid, samples = case
         d = build_grid(grid)
         p = plain_copy(d)
-        assert p._grid is None
+        assert p.grid is None
         delta = lipschitz_delta(d, samples)
         assert lipschitz_delta(p, samples) == delta
         assume(delta * shrink > 0)  # a subnormal spacing can underflow
@@ -486,7 +499,7 @@ class TestMultiSourceSweep:
     def test_matches_python_bfs(self, kind, k):
         rng = np.random.default_rng([k, len(kind)])
         d = sweep_graph(kind, rng)
-        assert d._grid is None
+        assert d.grid is None
         verts = rng.permutation(d.vertex_count)[:k]
         got = _pair_distances(d, verts)
         assert got.dtype == np.int64

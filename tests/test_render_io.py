@@ -39,43 +39,48 @@ class TestHeatmap:
     def test_two_pixel_extremes(self, tmp_path):
         grid = GridSpec(2, 1)
         p = tmp_path / "a.ppm"
-        render_heatmap(field_on(grid, [0.0, 1.0]), grid, p)
+        render_heatmap(field_on(grid, [0.0, 1.0]), p)
         data = p.read_bytes()
         assert data == b"P6\n2 1\n255\n" + bytes([0, 0, 255, 255, 0, 0])
 
     def test_midpoint_is_purple(self, tmp_path):
         grid = GridSpec(3, 1)
         p = tmp_path / "a.ppm"
-        render_heatmap(field_on(grid, [0.0, 0.5, 1.0]), grid, p)
+        render_heatmap(field_on(grid, [0.0, 0.5, 1.0]), p)
         rgb = read_ppm(p)
         assert rgb[0, 1].tolist() == [128, 0, 128]
 
     def test_constant_field_mid_gray(self, tmp_path):
         grid = GridSpec(3, 2)
         p = tmp_path / "a.ppm"
-        render_heatmap(field_on(grid, np.full(6, 4.25)), grid, p)
+        render_heatmap(field_on(grid, np.full(6, 4.25)), p)
         assert (read_ppm(p) == 128).all()
 
     def test_row_major_layout(self, tmp_path):
         grid = GridSpec(2, 2)
         p = tmp_path / "a.ppm"
-        render_heatmap(field_on(grid, [0.0, 0.0, 0.0, 1.0]), grid, p)
+        render_heatmap(field_on(grid, [0.0, 0.0, 0.0, 1.0]), p)
         rgb = read_ppm(p)
         assert rgb[1, 1].tolist() == [255, 0, 0]
         assert rgb[0, 0].tolist() == [0, 0, 255]
 
     def test_field_grid_mismatch(self, tmp_path):
-        d = build_graph([(0, 1)], 2)
-        f = ScalarField(domain=d, values=[0.0, 1.0])
-        with pytest.raises(ValueError, match="grid"):
-            render_heatmap(f, GridSpec(3, 3), tmp_path / "a.ppm")
+        # A 32-vertex path has as many vertices as an 8x4 grid, but no layout.
+        for d in (build_graph([(0, 1)], 2),
+                  build_graph([(i, i + 1) for i in range(31)], 32)):
+            f = ScalarField(domain=d, values=np.arange(float(d.vertex_count)))
+            for render in (render_heatmap, render_pgm16, render_heightmesh):
+                with pytest.raises(ValueError,
+                                   match="rendering needs a grid domain"):
+                    render(f, tmp_path / "a.out")
+        assert not list(tmp_path.iterdir())
 
     def test_deterministic_bytes(self, tmp_path):
         grid = GridSpec(5, 4)
         rng = np.random.default_rng(3)
         f = field_on(grid, rng.uniform(-2, 2, 20))
-        render_heatmap(f, grid, tmp_path / "a.ppm")
-        render_heatmap(f, grid, tmp_path / "b.ppm")
+        render_heatmap(f, tmp_path / "a.ppm")
+        render_heatmap(f, tmp_path / "b.ppm")
         assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
 
 
@@ -85,7 +90,7 @@ class TestPgm16:
         rng = np.random.default_rng(11)
         vals = rng.uniform(-3.7, 9.2, 40)
         p = tmp_path / "h.pgm"
-        render_pgm16(field_on(grid, vals), grid, p)
+        render_pgm16(field_on(grid, vals), p)
         back, (lo, hi) = read_pgm16(p)
         assert lo == vals.min() and hi == vals.max()
         quantum = (hi - lo) / 65535
@@ -94,14 +99,14 @@ class TestPgm16:
     def test_constant_round_trips_exactly(self, tmp_path):
         grid = GridSpec(3, 3)
         p = tmp_path / "h.pgm"
-        render_pgm16(field_on(grid, np.full(9, -1.5)), grid, p)
+        render_pgm16(field_on(grid, np.full(9, -1.5)), p)
         back, rng_ = read_pgm16(p)
         assert (back == -1.5).all() and rng_ == (-1.5, -1.5)
 
     def test_big_endian_sixteen_bit(self, tmp_path):
         grid = GridSpec(2, 1)
         p = tmp_path / "h.pgm"
-        render_pgm16(field_on(grid, [0.0, 1.0]), grid, p)
+        render_pgm16(field_on(grid, [0.0, 1.0]), p)
         data = p.read_bytes()
         assert b"65535" in data
         assert data.endswith(bytes([0, 0, 255, 255]))
@@ -111,7 +116,7 @@ class TestHeightmesh:
     def test_two_by_two_layout(self, tmp_path):
         grid = GridSpec(2, 2)
         p = tmp_path / "m.obj"
-        render_heightmesh(field_on(grid, [0.0, 1.0, 2.0, 3.0]), grid, p)
+        render_heightmesh(field_on(grid, [0.0, 1.0, 2.0, 3.0]), p)
         lines = p.read_text().splitlines()
         assert lines[:4] == ["v 0.0 0.0 0.0", "v 1.0 0.0 1.0",
                              "v 0.0 1.0 2.0", "v 1.0 1.0 3.0"]
@@ -120,7 +125,7 @@ class TestHeightmesh:
     def test_counts_follow_grid_size(self, tmp_path):
         grid = GridSpec(4, 3)
         p = tmp_path / "m.obj"
-        render_heightmesh(field_on(grid, np.arange(12.0)), grid, p)
+        render_heightmesh(field_on(grid, np.arange(12.0)), p)
         lines = p.read_text().splitlines()
         assert sum(ln.startswith("v ") for ln in lines) == 12
         assert sum(ln.startswith("f ") for ln in lines) == 2 * 3 * 2
@@ -128,7 +133,7 @@ class TestHeightmesh:
     def test_output_loads_as_mesh_domain(self, tmp_path):
         grid = GridSpec(3, 2, spacing=0.5)
         p = tmp_path / "m.obj"
-        render_heightmesh(field_on(grid, np.arange(6.0)), grid, p)
+        render_heightmesh(field_on(grid, np.arange(6.0)), p)
         d = load_mesh(p)
         assert isinstance(d, Domain)
         assert d.vertex_count == 6
@@ -146,7 +151,7 @@ class TestHeightmesh:
             0, 1e3, size=width * height) / 7
         values[0] = -0.0
         p = tmp_path / "m.obj"
-        render_heightmesh(field_on(grid, values), grid, p)
+        render_heightmesh(field_on(grid, values), p)
         want = tmp_path / "want.obj"
         atomic_write_text(want, oracle_heightmesh_text(
             values.reshape(height, width), width, height, spacing))
@@ -201,7 +206,7 @@ class TestSnapping:
         d = build_grid(grid)
         parsed = ParsedSamples(kind="xy", rows=np.array(
             [[0.4, 0.0, 1.0], [0.5, 0.0, 2.0], [2.6, 3.4, 3.0]]))
-        out = snap_to_vertices(parsed, grid, d)
+        out = snap_to_vertices(parsed, d)
         assert out == {0: 1.0, 1: 2.0, 3 * 4 + 3: 3.0}
 
     def test_out_of_bounds_clips_to_border(self):
@@ -209,7 +214,7 @@ class TestSnapping:
         d = build_grid(grid)
         parsed = ParsedSamples(kind="xy", rows=np.array(
             [[-50.0, -50.0, 1.0], [50.0, 50.0, 2.0]]))
-        out = snap_to_vertices(parsed, grid, d)
+        out = snap_to_vertices(parsed, d)
         assert out == {0: 1.0, 8: 2.0}
 
     def test_collisions_merge_by_mean_with_warning(self):
@@ -218,7 +223,7 @@ class TestSnapping:
         parsed = ParsedSamples(kind="xy", rows=np.array(
             [[1.0, 1.0, 2.0], [1.1, 0.9, 6.0]]))
         with pytest.warns(UserWarning, match="merged"):
-            out = snap_to_vertices(parsed, grid, d)
+            out = snap_to_vertices(parsed, d)
         assert out == {4: 4.0}
 
     def test_three_rows_merge_by_running_mean(self):
@@ -227,7 +232,7 @@ class TestSnapping:
         parsed = ParsedSamples(kind="xy", rows=np.array(
             [[1.0, 1.0, 1.0], [0.0, 0.0, 7.0], [1.1, 0.9, 2.0], [0.9, 1.1, 4.0]]))
         with pytest.warns(UserWarning, match="^2 sample row"):
-            out = snap_to_vertices(parsed, grid, d)
+            out = snap_to_vertices(parsed, d)
         assert list(out) == [4, 0]
         assert out == {4: 1.5 + (4.0 - 1.5) / 3, 0: 7.0}
 
@@ -235,27 +240,29 @@ class TestSnapping:
         grid = GridSpec(3, 3, spacing=2.0)
         d = build_grid(grid)
         parsed = ParsedSamples(kind="xy", rows=np.array([[3.2, 0.0, 5.0]]))
-        assert snap_to_vertices(parsed, grid, d) == {2: 5.0}
+        assert snap_to_vertices(parsed, d) == {2: 5.0}
 
     def test_vertex_rows_on_plain_graph(self):
         d = build_graph([(0, 1), (1, 2)], 3)
         parsed = ParsedSamples(kind="vertex", rows=np.array([[2.0, 7.0]]))
-        assert snap_to_vertices(parsed, None, d) == {2: 7.0}
+        assert snap_to_vertices(parsed, d) == {2: 7.0}
 
     def test_vertex_id_out_of_range(self):
-        d = build_graph([(0, 1)], 2)
-        # An id past int64 is named as read, not as a wrapped cast.
-        for row, shown in ([5.0, "5"], [1e30, "1e+30"]):
+        d = build_grid(GridSpec(3, 3))
+        # An id past int64 is named as read, not as a wrapped cast, and a
+        # negative id does not count from the end.
+        for row, shown in ([9.0, "9"], [-1.0, "-1"], [1e30, "1e+30"]):
             parsed = ParsedSamples(kind="vertex", rows=np.array([[row, 1.0]]))
-            with pytest.raises(ValueError) as exc:
-                snap_to_vertices(parsed, None, d)
-            assert str(exc.value) == f"sample vertex id {shown} out of range"
+            for resolve in (snap_to_vertices, sample_coords):
+                with pytest.raises(ValueError) as exc:
+                    resolve(parsed, d)
+                assert str(exc.value) == f"sample vertex id {shown} out of range"
 
     def test_xy_without_grid_rejected(self):
         d = build_graph([(0, 1)], 2)
         parsed = ParsedSamples(kind="xy", rows=np.array([[0.0, 0.0, 1.0]]))
         with pytest.raises(ValueError, match="grid"):
-            snap_to_vertices(parsed, None, d)
+            snap_to_vertices(parsed, d)
 
 
 class TestSampleCoords:

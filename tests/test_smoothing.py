@@ -143,6 +143,10 @@ class TestDiscreteGradient:
         f = ScalarField(domain=d, values=np.zeros(4))
         with pytest.raises(ValueError, match="match"):
             discrete_gradient(f, GridSpec(3, 3))
+        # Same vertex count, other layout: the grid must be the domain's own.
+        _, f = grid_field(GridSpec(4, 8), lambda x, y: x)
+        with pytest.raises(ValueError, match="match"):
+            discrete_gradient(f, GridSpec(8, 4))
 
 
 class TestTotalVariation:
@@ -165,7 +169,7 @@ class TestTotalVariation:
     def test_gradient_variant_sums_components(self):
         grid = GridSpec(2, 2)
         d = build_grid(grid)
-        g = GradientField(domain=d, grid=grid,
+        g = GradientField(domain=d,
                           gx=[0.0, 1.0, 0.0, 1.0], gy=[0.0, 0.0, 2.0, 2.0])
         # gx varies on both horizontal edges, gy on both vertical edges
         assert total_variation(g) == 2 * 1.0 + 2 * 2.0
@@ -253,11 +257,11 @@ class TestGradientFieldValidation:
         grid = GridSpec(2, 2)
         d = build_grid(grid)
         with pytest.raises(ValueError, match="finite"):
-            GradientField(domain=d, grid=grid,
+            GradientField(domain=d,
                           gx=[0.0, np.inf, 0.0, 0.0], gy=np.zeros(4))
 
     def test_length_checked(self):
         grid = GridSpec(2, 2)
         d = build_grid(grid)
         with pytest.raises(ValueError, match="length"):
-            GradientField(domain=d, grid=grid, gx=np.zeros(3), gy=np.zeros(4))
+            GradientField(domain=d, gx=np.zeros(3), gy=np.zeros(4))
