@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Domain
+from .domain import Domain, _freeze
 from .fields import ScalarField
 
 
@@ -31,8 +31,8 @@ class SamplePoints:
     values: np.ndarray
 
     def __post_init__(self):
-        xy = np.asarray(self.xy, dtype=np.float64)
-        vals = np.asarray(self.values, dtype=np.float64)
+        xy = _freeze(self, "xy", np.float64)
+        vals = _freeze(self, "values", np.float64)
         if xy.ndim != 2 or xy.shape[1] != 2 or vals.shape != (xy.shape[0],):
             raise ValueError("xy must be (n, 2) with one value per point")
         if xy.shape[0] == 0:
@@ -41,12 +41,6 @@ class SamplePoints:
             raise ValueError("sample coordinates and values must be finite")
         if len(np.unique(xy, axis=0)) != len(xy):
             raise ValueError("duplicate coordinates; merge via from_points")
-        xy = np.array(xy)
-        vals = np.array(vals)
-        xy.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_points(cls, points) -> "SamplePoints":

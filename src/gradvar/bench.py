@@ -16,12 +16,12 @@ import numpy as np
 
 from .baselines import (GaussianWeight, MlsConfig, SamplePoints, ShepardConfig,
                         evaluate_on_domain)
-from .domain import Domain, GridSpec, bfs_distances, build_grid
+from .domain import Domain, GridSpec, bfs_distances
 from .fields import ScalarField
 from .fileio import atomic_write_text
 from .gvf import LevelField, fit_gvf, to_scalar
 from .metrics import compute_metrics
-from .smoothing import harmonic_relax, smooth_reconstruct
+from .smoothing import _as_domain, harmonic_relax, smooth_reconstruct
 
 GENERATORS = ("affine", "gaussian-bump", "sinusoid", "two-line-samples",
               "boundary-ring")
@@ -155,7 +155,7 @@ def gvf_error_bound(truth: ScalarField, fitted: ScalarField,
     domain = truth.domain
     q = float(np.abs(fitted.values[sample_verts]
                      - truth.values[sample_verts]).max())
-    dist = bfs_distances(domain, sample_verts.tolist())
+    dist = bfs_distances(domain, sample_verts)
     radius = int(dist.max())
     src, dst = domain.edge_pairs()
     s = float(np.abs(truth.values[src] - truth.values[dst]).max()) if src.size else 0.0
@@ -188,19 +188,21 @@ CSV_HEADER = ("trial,generator,method,rmse,max_abs_error,tv_gradient,"
               "fallback_count,gvf_error_bound,error")
 
 
-def run_bench(grid: GridSpec, generators, methods, trials: int, count: int,
+def run_bench(dom, generators, methods, trials: int, count: int,
               seed: int, order: int = 1, power: float = 2.0,
               iters: int = 100, tol: float = 1e-9,
               verbose: bool = True) -> list[BenchRow]:
-    """Run every (trial, generator, method) combination on one grid, each
-    through :func:`fit_method` with its defaults for the options not passed.
+    """Run every (trial, generator, method) combination on one grid, a
+    GridSpec or a :func:`build_grid` Domain, each through
+    :func:`fit_method` with its defaults for the options not passed.
 
     Prints nothing: ``verbose`` is ignored, and stays in the signature
     only because the acceptance test of criterion C8 passes it.
     """
     if trials < 1 or count < 1:
         raise ValueError("trials and sample count must be positive")
-    domain = build_grid(grid)
+    domain = _as_domain(dom)
+    grid = domain.grid
     weight = GaussianWeight(scale=max(grid.width, grid.height) * grid.spacing / 4)
     rows: list[BenchRow] = []
     for trial in range(trials):

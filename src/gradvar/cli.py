@@ -218,12 +218,12 @@ def _pick(text: str, choices: tuple[str, ...], what: str) -> tuple[str, ...]:
 
 
 def cmd_bench(args) -> int:
-    grid = _resolve_domain(args).grid
-    if grid is None:
+    domain = _resolve_domain(args)
+    if domain.grid is None:
         raise ValueError("bench runs on grid domains; pass --grid WxH")
     gens = _pick(args.generator, GENERATORS, "generator")
     methods = _pick(args.method, METHODS, "method")
-    rows = run_bench(grid, gens, methods, trials=args.trials, count=args.points,
+    rows = run_bench(domain, gens, methods, trials=args.trials, count=args.points,
                      seed=args.seed, order=args.order, power=args.power,
                      iters=args.iters, tol=args.tol)
     for r in rows:

@@ -20,6 +20,29 @@ UNREACHABLE = -1
 _INF = np.int64(1) << 60
 
 
+def _ids(values, what: str) -> np.ndarray:
+    """``values`` as int64: an integer array is not copied; anything else must
+    be finite whole numbers ("<what> must be whole numbers"), clipped to
+    +-_INF so that one too large for int64 fails the caller's range check."""
+    a = np.asarray(values)
+    if a.dtype.kind in "iu":
+        return a.astype(np.int64, copy=False)
+    a = np.asarray(a, dtype=np.float64)
+    if not (np.isfinite(a).all() and (a == np.trunc(a)).all()):
+        raise ValueError(f"{what} must be whole numbers")
+    return np.clip(a, -_INF, _INF).astype(np.int64)
+
+
+def _freeze(obj, name: str, dtype, what: str = "") -> np.ndarray:
+    """Replace ``obj.<name>`` by a read-only ``dtype`` copy and return it; an
+    int64 field must pass :func:`_ids`, named ``what`` or else ``name``."""
+    value = getattr(obj, name)
+    a = np.array(_ids(value, what or name) if dtype is np.int64 else value, dtype=dtype)
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
+    return a
+
+
 class Domain:
     """Immutable undirected graph over dense vertex ids ``0..vertex_count-1``.
 
@@ -39,12 +62,12 @@ class Domain:
                  "grid", "_pair_memo")
 
     def __init__(self, vertex_count: int, edges=(), coords=None):
-        if vertex_count < 1:
+        if not (vertex_count >= 1 and float(vertex_count).is_integer()):
             raise ValueError("vertex_count must be a positive integer")
         self.vertex_count = int(vertex_count)
 
-        e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                       dtype=np.int64)
+        e = _ids(edges if isinstance(edges, np.ndarray) else list(edges),
+                 "edge vertex ids")
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -72,15 +95,9 @@ class Domain:
         self.grid = None
         self._pair_memo = None
 
-        if coords is None:
-            self.coords = None
-        else:
-            c = np.asarray(coords, dtype=np.float64)
-            if c.shape != (self.vertex_count, 2):
-                raise ValueError("coords must be one (x, y) pair per vertex")
-            c = np.array(c)
-            c.setflags(write=False)
-            self.coords = c
+        self.coords = coords
+        if coords is not None and _freeze(self, "coords", np.float64).shape != (n, 2):
+            raise ValueError("coords must be one (x, y) pair per vertex")
         for arr in (self._offsets, self._dir_src, self._dir_dst):
             arr.setflags(write=False)
 
@@ -100,9 +117,8 @@ class Domain:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as (a, b) with a < b."""
-        mask = self._dir_src < self._dir_dst
-        for a, b in zip(self._dir_src[mask], self._dir_dst[mask]):
-            yield int(a), int(b)
+        src, dst = self.edge_pairs()
+        yield from zip(src.tolist(), dst.tolist())
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) arrays with each undirected edge listed once, src < dst."""
@@ -235,10 +251,7 @@ def load_mesh(path) -> Domain:
     if not verts:
         raise ValueError(f"{path}: no vertices found")
     n = len(verts)
-    try:
-        ids = np.asarray(corners, dtype=np.int64)
-    except OverflowError:  # an index past int64 fails the range test below
-        ids = np.asarray(corners, dtype=np.float64)
+    ids = _ids(corners, "face indices")
     size = np.asarray(sizes, dtype=np.int64)
     face = np.repeat(np.arange(len(size)), size)
     # Each corner joins the next one of its face; the last closes the cycle.
@@ -255,7 +268,7 @@ def load_mesh(path) -> Domain:
         what = "index out of range" if out_of_range[corner] else "repeats a corner"
         raise ValueError(f"{path}: line {lineno}: face {what}")
     edges = np.stack([ids - 1, ids[nxt] - 1], axis=1)
-    return Domain(n, edges, coords=np.asarray(verts, dtype=np.float64))
+    return Domain(n, edges, coords=verts)
 
 
 def _gather_neighbors(offsets: np.ndarray, targets: np.ndarray,
@@ -312,8 +325,7 @@ def _multi_source_hops(domain: Domain, vertices: np.ndarray) -> np.ndarray:
     each bit.  A block stops when every listed vertex holds every bit, or
     when the frontier is empty.
     """
-    verts = np.asarray(vertices, dtype=np.int64)
-    k = len(verts)
+    k = len(vertices)
     out = np.full((k, k), UNREACHABLE, dtype=np.int64)
     # reduceat over the vertices that have neighbors only: an empty segment
     # would yield the next vertex's first word, and a start index equal to
@@ -329,13 +341,13 @@ def _multi_source_hops(domain: Domain, vertices: np.ndarray) -> np.ndarray:
         bits = one << shifts
         full = np.bitwise_or.reduce(bits)
         seen = np.zeros(domain.vertex_count, dtype=np.uint64)
-        np.bitwise_or.at(seen, verts[lo:lo + 64], bits)
+        np.bitwise_or.at(seen, vertices[lo:lo + 64], bits)
         frontier, level = seen.copy(), 0
         while True:
-            gained = frontier[verts]
+            gained = frontier[vertices]
             rows, cols = np.nonzero((gained[:, None] >> shifts) & one)
             out[rows, lo + cols] = level
-            if (seen[verts] == full).all():
+            if (seen[vertices] == full).all():
                 break
             pulled = np.zeros_like(seen)
             if starts.size:
@@ -355,7 +367,8 @@ def bfs_distances(domain: Domain, sources) -> np.ndarray:
     The count is 0 on every source, grows by at most 1 across any edge, and
     is ``UNREACHABLE`` on vertices in components without a source.
     """
-    src = np.array([int(s) for s in sources], dtype=np.int64)
+    src = _ids(sources if isinstance(sources, np.ndarray) else list(sources),
+               "source vertex ids")
     if src.size == 0:
         raise ValueError("source set must be nonempty")
     if (src < 0).any() or (src >= domain.vertex_count).any():

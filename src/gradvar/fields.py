@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain
+from .domain import Domain, _freeze
 
 
 @dataclass(frozen=True)
@@ -21,14 +21,11 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _freeze(self, "values", np.float64)
         if v.shape != (self.domain.vertex_count,):
             raise ValueError("field length must equal the domain vertex count")
         if not np.isfinite(v).all():
             raise ValueError("field values must all be finite")
-        v = np.array(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import (UNREACHABLE, Domain, _multi_source_hops, bfs_distances,
-                     min_offset_sweep)
+from .domain import (UNREACHABLE, Domain, _freeze, _ids, _multi_source_hops,
+                     bfs_distances, min_offset_sweep)
 from .fields import ScalarField
 
 
@@ -36,7 +36,7 @@ class LevelTable:
             raise ValueError("base and delta must be finite")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if self.count < 1:
+        if not (self.count >= 1 and float(self.count).is_integer()):
             raise ValueError("count must be a positive integer")
 
 
@@ -54,9 +54,9 @@ class GuidingSet:
     raw_values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=np.int64)
-        i = np.asarray(self.indices, dtype=np.int64)
-        r = np.asarray(self.raw_values, dtype=np.float64)
+        v = _freeze(self, "vertices", np.int64, "guiding vertex ids")
+        i = _freeze(self, "indices", np.int64, "guiding level indices")
+        r = _freeze(self, "raw_values", np.float64)
         if v.size == 0:
             raise ValueError("guiding set must be nonempty")
         if not (v.shape == i.shape == r.shape and v.ndim == 1):
@@ -69,11 +69,6 @@ class GuidingSet:
             raise ValueError("guiding level indices must be >= 1")
         if not np.isfinite(r).all():
             raise ValueError("guiding raw values must be finite")
-        for arr in (v, i, r):
-            arr.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "indices", i)
-        object.__setattr__(self, "raw_values", r)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -93,7 +88,7 @@ class LevelField:
     table: LevelTable
 
     def __post_init__(self):
-        a = np.asarray(self.idx, dtype=np.int64)
+        a = _freeze(self, "idx", np.int64, "level indices")
         if a.shape != (self.domain.vertex_count,):
             raise ValueError("index array length must equal the domain vertex count")
         if (a < 1).any() or (a > self.table.count).any():
@@ -104,9 +99,6 @@ class LevelField:
             raise ValueError(
                 f"not gradually varied: indices jump by more than 1 across "
                 f"edge ({int(src[bad])}, {int(dst[bad])})")
-        a = np.array(a)
-        a.setflags(write=False)
-        object.__setattr__(self, "idx", a)
 
 
 @dataclass(frozen=True)
@@ -123,14 +115,10 @@ class EnvelopePair:
     _connected: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=np.int64)
-        hi = np.asarray(self.upper, dtype=np.int64)
+        lo = _freeze(self, "lower", np.int64)
+        hi = _freeze(self, "upper", np.int64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lower and upper must be parallel 1-d arrays")
-        for arr in (lo, hi):
-            arr.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     @property
     def feasible(self) -> bool:
@@ -203,15 +191,16 @@ def _pair_distances(domain: Domain, vertices: np.ndarray) -> np.ndarray:
 def _sample_arrays(domain: Domain, samples: Mapping[int, float],
                    kind: str = "sample") -> tuple[np.ndarray, np.ndarray]:
     """Validated (vertices, values) arrays of a vertex -> value map, by vertex."""
-    verts = np.array(sorted(samples), dtype=np.int64)
+    verts = _ids(list(samples), f"{kind} vertex ids")
     if verts.size == 0:
         raise ValueError(f"{kind} set must be nonempty")
     if (verts < 0).any() or (verts >= domain.vertex_count).any():
         raise ValueError(f"{kind} vertex id out of range")
-    vals = np.array([samples[int(v)] for v in verts], dtype=np.float64)
+    order = np.argsort(verts)
+    vals = np.array(list(samples.values()), dtype=np.float64)[order]
     if not np.isfinite(vals).all():
         raise ValueError(f"{kind} values must be finite")
-    return verts, vals
+    return verts[order], vals
 
 
 def _component_witness(domain: Domain, verts: np.ndarray,
@@ -240,7 +229,8 @@ def _component_witness(domain: Domain, verts: np.ndarray,
 # lipschitz_delta's spacing for all-equal samples, relative to max(1, |value|).
 _ZERO_RANGE_FLOOR = 1e-9
 # Relative width of the band around a half level that quantize treats as the
-# tie itself: a few ulps, above the rounding error of (v - base) / delta.
+# tie itself: a few ulps, above the rounding error of (v - base) / delta;
+# quantize caps it at a quarter level, which it reaches near 2**47 levels.
 _TIE_REL = 8 * np.finfo(np.float64).eps
 
 
@@ -263,10 +253,8 @@ def lipschitz_delta(domain: Domain, samples: Mapping[int, float]) -> float:
         raise InfeasibleError(
             split, f"sample vertices {split.vertex_a} and {split.vertex_b} "
                    f"lie in different components")
-    star = 0.0
-    if verts.size > 1:
-        iu = np.triu_indices(len(verts), k=1)
-        star = float((np.abs(vals[iu[0]] - vals[iu[1]]) / pairs[iu]).max())
+    iu = np.triu_indices(len(verts), k=1)
+    star = float((np.abs(vals[iu[0]] - vals[iu[1]]) / pairs[iu]).max(initial=0.0))
     floor = _ZERO_RANGE_FLOOR * max(1.0, float(np.abs(vals).max()))
     return star if star > 0 else floor
 
@@ -283,10 +271,11 @@ def quantize(domain: Domain, samples: Mapping[int, float],
     spacing makes it for the steepest pair) by one level too many.  Note
     the top level sits below the maximum sample whenever (max - min) /
     delta is fractional, so quantization error is < delta there and
-    <= delta/2 everywhere else.  Raw values are preserved in the returned
-    guiding set.  (max - min) / delta must be below 2**53: past that a
-    float no longer resolves one level, and indices would near the sweep
-    sentinel 2**60.
+    <= delta/2 everywhere else while (max - min) / delta is below 2**52;
+    from 2**52 on, t - 1/2 itself rounds, and a sample may land one level low.
+    Raw values are preserved in the returned guiding set.  (max - min) /
+    delta must be below 2**53: past that a float no longer resolves one
+    level, and indices would near the sweep sentinel 2**60.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -300,7 +289,8 @@ def quantize(domain: Domain, samples: Mapping[int, float],
     t = (vals - base) / delta
     # Nearest level with halves rounding down: k = ceil(t - 1/2), where a t
     # within float error of a half level counts as that half.
-    k = np.ceil(t - 0.5 - _TIE_REL * np.maximum(t, 1.0)).astype(np.int64)
+    tie = np.minimum(_TIE_REL * np.maximum(t, 1.0), 0.25)
+    k = np.ceil(t - 0.5 - tie).astype(np.int64)
     k = np.clip(k, 0, count - 1)
     table = LevelTable(base=base, delta=float(delta), count=count)
     guiding = GuidingSet(vertices=verts, indices=k + 1, raw_values=vals)

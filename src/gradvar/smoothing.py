@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, GridSpec, build_grid
+from .domain import Domain, GridSpec, _freeze, build_grid
 from .fields import ScalarField
 from .gvf import _sample_arrays, fit_gvf, to_scalar
 
@@ -40,14 +40,19 @@ class GradientField:
 
     def __post_init__(self):
         for name in ("gx", "gy"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
+            a = _freeze(self, name, np.float64)
             if a.shape != (self.domain.vertex_count,):
                 raise ValueError(f"{name} length must equal the domain vertex count")
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite everywhere")
-            a = np.array(a)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+
+
+def _as_domain(dom) -> Domain:
+    """A GridSpec built into its grid domain, or a Domain as it is."""
+    domain = build_grid(dom) if isinstance(dom, GridSpec) else dom
+    if not isinstance(domain, Domain):
+        raise TypeError("dom must be a GridSpec or Domain")
+    return domain
 
 
 def _neighbor_sums(domain: Domain, values: np.ndarray) -> np.ndarray:
@@ -187,9 +192,7 @@ def smooth_reconstruct(dom, samples: Mapping[int, float], order: int = 1,
         raise ValueError("order must be 0, 1 or 2")
     if sweeps < 0:
         raise ValueError("sweeps must be >= 0")
-    domain = build_grid(dom) if isinstance(dom, GridSpec) else dom
-    if not isinstance(domain, Domain):
-        raise TypeError("dom must be a GridSpec or Domain")
+    domain = _as_domain(dom)
     if order >= 1 and domain.grid is None:
         raise ValueError("orders >= 1 need a grid domain for derivatives")
 

@@ -52,6 +52,14 @@ def test_rows_equal_direct_library_calls():
         assert row.gvf_error_bound == bound
 
 
+def test_grid_domain_gives_the_grid_spec_rows():
+    grid = GridSpec(9, 7, "eight", 0.5)
+    args = (("affine", "boundary-ring"), METHODS)
+    kwargs = dict(trials=2, count=8, seed=4, order=2)
+    assert run_bench(build_grid(grid), *args, **kwargs) == \
+        run_bench(grid, *args, **kwargs)
+
+
 def test_bench_all_gives_every_generator_a_smooth_row(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["bench", "--grid", "14x12", "--method", "all", "--trials", "1",

@@ -457,6 +457,23 @@ class TestBench:
         assert rc == 1
         assert "grid" in capsys.readouterr().err
 
+    def test_builds_the_grid_once(self, tmp_path, monkeypatch):
+        import sys
+        import gradvar.domain
+        calls = []
+
+        def counting(spec, build=gradvar.domain.build_grid):
+            calls.append(spec)
+            return build(spec)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gradvar.") and hasattr(module, "build_grid"):
+                monkeypatch.setattr(module, "build_grid", counting)
+        rc = main(["bench", "--grid", "8x8", "--trials", "2", "--points", "6",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 1
+
 
 class TestRender:
     def test_round_trip_from_field_csv(self, tmp_path):

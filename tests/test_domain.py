@@ -53,6 +53,25 @@ class TestDomain:
         with pytest.raises(ValueError, match="coords"):
             Domain(3, [(0, 1)], coords=[[0.0, 0.0]])
 
+    @pytest.mark.parametrize("count, edges, message", [
+        (3, [(0.5, 1.7)], "edge vertex ids must be whole numbers"),
+        (3, np.array([[0.0, 1.0], [1.0, 2.5]]), "edge vertex ids must be whole"),
+        (3, [(0, float("inf"))], "edge vertex ids must be whole"),
+        (2.5, [], "vertex_count must be a positive integer"),
+        (float("nan"), [], "vertex_count must be a positive integer"),
+        (float("inf"), [], "vertex_count must be a positive integer"),
+    ])
+    def test_ids_and_count_must_be_whole(self, count, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Domain(count, edges)
+
+    def test_whole_floats_and_huge_ids(self):
+        d = build_graph(np.array([[0.0, 1.0], [2.0, 1.0]]), 3.0)
+        assert (d.vertex_count, sorted(d.edges())) == (3, [(0, 1), (1, 2)])
+        # Past int64: the range check names it, instead of a wrapped id.
+        with pytest.raises(ValueError, match="out of range"):
+            build_graph([(0, 2 ** 70)], 3)
+
 
 def expected_layout(n, edges):
     """Offsets, sources and targets from a plain sorted set of both orientations."""
@@ -189,6 +208,15 @@ class TestBfs:
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
             bfs_distances(path_domain(3), [])
+
+    @pytest.mark.parametrize("sources", [[0.9], np.array([2.0, 0.5]), [float("nan")]])
+    def test_sources_must_be_whole_numbers(self, sources):
+        with pytest.raises(ValueError, match="source vertex ids must be whole numbers"):
+            bfs_distances(path_domain(3), sources)
+
+    @pytest.mark.parametrize("sources", [{0, 2}, (2.0, 0.0), np.array([0, 2], np.int32)])
+    def test_any_iterable_of_whole_sources(self, sources):
+        assert bfs_distances(path_domain(3), sources).tolist() == [0, 1, 0]
 
     def test_grid_distance_is_manhattan_on_four_connected(self):
         g = GridSpec(7, 5)

@@ -24,6 +24,8 @@ class TestLevelTable:
         dict(base=0.0, delta=-1.0, count=1),
         dict(base=0.0, delta=1.0, count=0),
         dict(base=float("nan"), delta=1.0, count=1),
+        dict(base=0.0, delta=1.0, count=2.5),
+        dict(base=0.0, delta=1.0, count=float("inf")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -41,6 +43,15 @@ class TestGuidingSet:
         with pytest.raises(ValueError):
             GuidingSet(vertices=np.array([0]), indices=np.array([0]),
                        raw_values=np.array([0.0]))
+
+    @pytest.mark.parametrize("vertices, indices, message", [
+        ([0.5, 2.7], [1, 2], "guiding vertex ids must be whole numbers"),
+        ([0, 2], [1.9, 2.2], "guiding level indices must be whole numbers"),
+        (np.array([0.0, np.nan]), [1, 2], "guiding vertex ids must be whole"),
+    ])
+    def test_ids_and_indices_must_be_whole(self, vertices, indices, message):
+        with pytest.raises(ValueError, match=message):
+            GuidingSet(vertices=vertices, indices=indices, raw_values=[0.0, 1.0])
 
 
 class TestLipschitzDelta:
@@ -113,6 +124,13 @@ class TestQuantize:
                 quantize(d, {0: 0.0, 1: 1.0}, delta=delta)
             with pytest.raises(ValueError, match="too small"):
                 fit_gvf(d, {0: 0.0, 1: 1.0}, delta=delta)
+
+    @pytest.mark.parametrize("e", [46, 47, 48, 49, 50, 51])
+    def test_top_sample_on_top_level_at_huge_level_counts(self, e):
+        # The tie band is relative to t, and capped at a quarter level so
+        # that from about 2**47 levels on it stays below half a level.
+        t, g = quantize(path_domain(2), {0: 0.0, 1: 1.0}, delta=2.0 ** -e)
+        assert (t.count, g.indices.tolist()) == (2 ** e + 1, [1, 2 ** e + 1])
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6, unique=True),
            st.floats(0.01, 10))
@@ -314,6 +332,13 @@ class TestLevelField:
         t = LevelTable(base=0.0, delta=1.0, count=2)
         with pytest.raises(ValueError):
             LevelField(domain=d, idx=np.array([1, 3]), table=t)
+
+    def test_indices_must_be_whole(self):
+        t = LevelTable(base=0.0, delta=1.0, count=3)
+        with pytest.raises(ValueError, match="level indices must be whole numbers"):
+            LevelField(domain=path_domain(3), idx=[1.5, 1.9, 2.9], table=t)
+        assert LevelField(domain=path_domain(3), idx=[1.0, 2.0, 3.0],
+                          table=t).idx.tolist() == [1, 2, 3]
 
 
 class TestToScalar:

@@ -4,6 +4,7 @@ resolves and every argument its hooks read still exists."""
 
 import importlib
 import inspect
+import json
 
 import pytest
 
@@ -63,3 +64,28 @@ def test_install_traces_a_fit_and_uninstall_restores(tracing, tmp_path):
     assert counts["fileio.write_level_csv.calls"] == 1
     assert counts["fileio.bytes_written"] > 0
     assert counts["render.bytes_written"] > 0
+
+
+@pytest.mark.parametrize("method, counter, report", [
+    ("harmonic", "smoothing.harmonic_relax.iterations", "iterations_run"),
+    ("mls", "baselines.fallback_vertices", "fallback_vertices"),
+])
+def test_install_records_the_report_counters(tracing, tmp_path, method,
+                                             counter, report):
+    # The harmonic and MLS hooks read the returned RelaxReport and DomainFit;
+    # their counts must equal the ones the fit writes to metrics.json.  Two
+    # samples on a line cannot fix a degree-1 fit, so every MLS vertex falls back.
+    samples = tmp_path / "s.csv"
+    samples.write_text("vertex,value\n0,0.0\n15,3.0\n")
+    out = tmp_path / "out"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = gradvar.cli.main(["fit", "--grid", "4x4", "--samples", str(samples),
+                               "--method", method, "--out", str(out)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    want = json.loads((out / "metrics.json").read_text())[report]
+    assert want > 0
+    assert tracer.per_pass()[0][counter] == want
