@@ -16,7 +16,7 @@ import numpy as np
 
 from .baselines import (GaussianWeight, MlsConfig, SamplePoints, ShepardConfig,
                         evaluate_on_domain)
-from .domain import Domain, GridSpec, bfs_distances
+from .domain import Domain, GridSpec, _count, bfs_distances
 from .fields import ScalarField
 from .fileio import atomic_write_text
 from .gvf import LevelField, fit_gvf, to_scalar
@@ -99,7 +99,7 @@ def _sample_vertices(name: str, grid: GridSpec, rng: np.random.Generator,
                      count: int, trial: int) -> np.ndarray:
     w, h = grid.width, grid.height
     if name == "two-line-samples":
-        lines = 1 + trial % 2
+        lines = min(1 + trial % 2, h)
         rows = rng.choice(h, size=lines, replace=False)
         per = min(w, max(2, count // lines))
         verts = []
@@ -199,8 +199,7 @@ def run_bench(dom, generators, methods, trials: int, count: int,
     Prints nothing: ``verbose`` is ignored, and stays in the signature
     only because the acceptance test of criterion C8 passes it.
     """
-    if trials < 1 or count < 1:
-        raise ValueError("trials and sample count must be positive")
+    trials, count = _count(trials, "trials"), _count(count, "sample count")
     domain = _as_domain(dom)
     grid = domain.grid
     weight = GaussianWeight(scale=max(grid.width, grid.height) * grid.spacing / 4)

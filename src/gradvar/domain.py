@@ -17,20 +17,43 @@ import numpy as np
 UNREACHABLE = -1
 
 # Internal sentinel for the sweep engine; large but far from int64 overflow.
-_INF = np.int64(1) << 60
+_INF = 1 << 60
 
 
-def _ids(values, what: str) -> np.ndarray:
+def _ids(values, what: str, count: int | None = None) -> np.ndarray:
     """``values`` as int64: an integer array is not copied; anything else must
     be finite whole numbers ("<what> must be whole numbers"), clipped to
-    +-_INF so that one too large for int64 fails the caller's range check."""
+    +-_INF, so that an id too large for int64, or for a float, stays out of
+    range.  Given ``count``, the first id outside 0..count-1 raises
+    "<what, singular> <that id as given> out of range"."""
     a = np.asarray(values)
     if a.dtype.kind in "iu":
-        return a.astype(np.int64, copy=False)
-    a = np.asarray(a, dtype=np.float64)
-    if not (np.isfinite(a).all() and (a == np.trunc(a)).all()):
-        raise ValueError(f"{what} must be whole numbers")
-    return np.clip(a, -_INF, _INF).astype(np.int64)
+        ids = a.astype(np.int64, copy=False)
+    else:   # objects are Python ints past int64: clip them, or float() may overflow
+        f = np.asarray([min(max(x, -_INF), _INF) if isinstance(x, int) else x
+                        for x in a.flat] if a.dtype == object else a,
+                       dtype=np.float64).reshape(a.shape)
+        if not (np.isfinite(f).all() and (f == np.trunc(f)).all()):
+            raise ValueError(f"{what} must be whole numbers")
+        ids = np.clip(f, -_INF, _INF).astype(np.int64)
+    if count is not None:
+        bad = (ids < 0) | (ids >= count)
+        if bad.any():
+            shown = repr(a.ravel().tolist()[int(np.argmax(bad))]).removesuffix(".0")
+            raise ValueError(f"{what.removesuffix('s')} {shown} out of range")
+    return ids
+
+
+def _count(value, what: str, floor: int = 1) -> int:
+    """``value`` as an int, if it is a whole number >= ``floor`` (whole floats
+    such as 3.0 included), else ValueError "<what> must be a positive integer"
+    ("an integer >= <floor>" for a floor other than 1)."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if not (isinstance(value, (int, np.integer)) and value >= floor):
+        kind = "a positive integer" if floor == 1 else f"an integer >= {floor}"
+        raise ValueError(f"{what} must be {kind}")
+    return int(value)
 
 
 def _freeze(obj, name: str, dtype, what: str = "") -> np.ndarray:
@@ -62,9 +85,9 @@ class Domain:
                  "grid", "_pair_memo")
 
     def __init__(self, vertex_count: int, edges=(), coords=None):
-        if not (vertex_count >= 1 and float(vertex_count).is_integer()):
-            raise ValueError("vertex_count must be a positive integer")
-        self.vertex_count = int(vertex_count)
+        n = self.vertex_count = _count(vertex_count, "vertex_count")
+        if n * n >= 1 << 63:   # the int64 edge keys below reach n * n
+            raise ValueError(f"vertex_count {n} is too large; at most 3037000499")
 
         e = _ids(edges if isinstance(edges, np.ndarray) else list(edges),
                  "edge vertex ids")
@@ -72,8 +95,8 @@ class Domain:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be pairs of vertex ids")
-        if e.size and ((e < 0).any() or (e >= self.vertex_count).any()):
-            bad = e[((e < 0) | (e >= self.vertex_count)).any(axis=1)][0].tolist()
+        if e.size and ((e < 0).any() or (e >= n).any()):
+            bad = e[((e < 0) | (e >= n)).any(axis=1)][0].tolist()
             raise ValueError(f"edge {tuple(bad)} references a vertex id out of range")
         if e.size and (e[:, 0] == e[:, 1]).any():
             v = int(e[e[:, 0] == e[:, 1]][0, 0])
@@ -83,7 +106,6 @@ class Domain:
         # source * n + target, which orders the same way and sorts far faster
         # than rows.  A plain sort, not np.unique: numpy 2 dedups integers in
         # a hash table first, which is slower here and fragments the heap.
-        n = self.vertex_count
         src, dst = e[:, 0], e[:, 1]
         key = np.concatenate([src * n + dst, dst * n + src])
         key.sort()
@@ -152,8 +174,8 @@ class GridSpec:
     spacing: float = 1.0
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("grid width and height must be positive")
+        for name in ("width", "height"):
+            object.__setattr__(self, name, _count(getattr(self, name), f"grid {name}"))
         if self.connectivity not in ("four", "eight"):
             raise ValueError("connectivity must be 'four' or 'eight'")
         if not 0 < self.spacing < np.inf:
@@ -368,11 +390,9 @@ def bfs_distances(domain: Domain, sources) -> np.ndarray:
     is ``UNREACHABLE`` on vertices in components without a source.
     """
     src = _ids(sources if isinstance(sources, np.ndarray) else list(sources),
-               "source vertex ids")
+               "source vertex ids", domain.vertex_count)
     if src.size == 0:
         raise ValueError("source set must be nonempty")
-    if (src < 0).any() or (src >= domain.vertex_count).any():
-        raise ValueError("source vertex id out of range")
     dist = min_offset_sweep(domain, src, np.zeros(len(src), dtype=np.int64))
     dist = np.where(dist >= _INF, np.int64(UNREACHABLE), dist)
     dist.setflags(write=False)

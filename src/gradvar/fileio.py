@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Domain, _record_line, _records
+from .domain import Domain, _ids, _record_line, _records
 from .gvf import LevelField, to_scalar
 
 
@@ -87,17 +87,6 @@ def read_samples_csv(path) -> ParsedSamples:
     return ParsedSamples(kind=kind, rows=arr)
 
 
-def _vertex_ids(parsed: ParsedSamples, domain: Domain) -> np.ndarray:
-    """The vertex ids of `vertex,value` rows, each checked to be on ``domain``."""
-    # Checked as floats: an id beyond int64 has no integer to cast to.
-    ids = parsed.rows[:, 0]
-    bad = (ids < 0) | (ids >= domain.vertex_count)
-    if bad.any():
-        shown = repr(float(ids[bad][0])).removesuffix(".0")
-        raise ValueError(f"sample vertex id {shown} out of range")
-    return ids.astype(np.int64)
-
-
 def snap_to_vertices(parsed: ParsedSamples, domain: Domain) -> dict[int, float]:
     """Resolve parsed samples to a vertex -> value map.
 
@@ -117,7 +106,7 @@ def snap_to_vertices(parsed: ParsedSamples, domain: Domain) -> dict[int, float]:
         verts = rows_ * grid.width + cols
         values = parsed.rows[:, 2]
     else:
-        verts = _vertex_ids(parsed, domain)
+        verts = _ids(parsed.rows[:, 0], "sample vertex ids", domain.vertex_count)
         values = parsed.rows[:, 1]
     out: dict[int, float] = {}
     counts: dict[int, int] = {}
@@ -138,7 +127,7 @@ def sample_coords(parsed: ParsedSamples, domain: Domain) -> np.ndarray:
     if domain.coords is None:
         raise ValueError("vertex,value samples on a domain without coordinates "
                          "cannot feed coordinate-based methods")
-    verts = _vertex_ids(parsed, domain)
+    verts = _ids(parsed.rows[:, 0], "sample vertex ids", domain.vertex_count)
     return np.column_stack([domain.coords[verts], parsed.rows[:, 1]])
 
 
@@ -172,7 +161,7 @@ def read_field_csv(path) -> FieldCsv:
 
     Its vertex column must run 0..N-1 in order; the first row that breaks
     this, or holds a non-numeric or non-finite entry, raises naming its
-    file line.
+    file line.  A level index past int64 reads as +-2**60, past every level.
     """
     names, records = _csv_records(path, "field",
                                   ("vertex,index,value", "vertex,value"))
@@ -197,7 +186,7 @@ def read_field_csv(path) -> FieldCsv:
         lineno = _record_line(path, int(np.argmin(finite)) + 1)
         raise ValueError(f"{path}: line {lineno}: non-finite value")
     return FieldCsv(values=values,
-                    indices=np.array(idxs, dtype=np.int64) if with_index else None)
+                    indices=_ids(idxs, "level indices") if with_index else None)
 
 
 def write_metrics_json(path, payload: dict) -> None:
@@ -232,11 +221,11 @@ def read_edge_list(path) -> tuple[int, np.ndarray]:
         except ValueError:
             raise ValueError(
                 f"{path}: line {lineno}: non-integer vertex id") from None
-        # Checked as Python ints, before an id too large for int64 is cast.
         if a == b or not (0 <= a < count and 0 <= b < count):
             raise ValueError(f"{path}: line {lineno}: edge {a} {b} must join "
                              f"two distinct vertex ids in 0..{count - 1}")
         edges.append((a, b))
     if count is None:
         raise ValueError(f"{path}: missing 'vertices N' line")
-    return count, np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    # An id past int64 (its count is too) clips to 2**60, which no Domain holds.
+    return count, _ids(edges, "edge vertex ids").reshape(-1, 2)

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import (UNREACHABLE, Domain, _freeze, _ids, _multi_source_hops,
-                     bfs_distances, min_offset_sweep)
+from .domain import (_INF, UNREACHABLE, Domain, _count, _freeze, _ids,
+                     _multi_source_hops, bfs_distances, min_offset_sweep)
 from .fields import ScalarField
 
 
@@ -36,8 +36,7 @@ class LevelTable:
             raise ValueError("base and delta must be finite")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if not (self.count >= 1 and float(self.count).is_integer()):
-            raise ValueError("count must be a positive integer")
+        object.__setattr__(self, "count", _count(self.count, "count"))
 
 
 @dataclass(frozen=True)
@@ -191,11 +190,9 @@ def _pair_distances(domain: Domain, vertices: np.ndarray) -> np.ndarray:
 def _sample_arrays(domain: Domain, samples: Mapping[int, float],
                    kind: str = "sample") -> tuple[np.ndarray, np.ndarray]:
     """Validated (vertices, values) arrays of a vertex -> value map, by vertex."""
-    verts = _ids(list(samples), f"{kind} vertex ids")
+    verts = _ids(list(samples), f"{kind} vertex ids", domain.vertex_count)
     if verts.size == 0:
         raise ValueError(f"{kind} set must be nonempty")
-    if (verts < 0).any() or (verts >= domain.vertex_count).any():
-        raise ValueError(f"{kind} vertex id out of range")
     order = np.argsort(verts)
     vals = np.array(list(samples.values()), dtype=np.float64)[order]
     if not np.isfinite(vals).all():
@@ -308,9 +305,7 @@ def check_feasibility(domain: Domain, guiding: GuidingSet) -> FeasibilityCheck:
     a preceding :func:`lipschitz_delta` on the same vertices and with the
     component rule.  :func:`envelopes` agrees.
     """
-    verts = guiding.vertices
-    if (verts >= domain.vertex_count).any():
-        raise ValueError("guiding vertex id out of range")
+    verts = _ids(guiding.vertices, "guiding vertex ids", domain.vertex_count)
     pairs = _pair_distances(domain, verts)
     split = _component_witness(domain, verts, guiding.indices)
     if split is not None:
@@ -339,12 +334,10 @@ def envelopes(domain: Domain, guiding: GuidingSet, n: int) -> EnvelopePair:
     Clamping to [1, n] cannot break feasibility: guiding indices lie in
     [1, n], so U >= 1 and L <= n hold before clamping, and clamping only
     moves a bound toward the valid band without crossing the other bound.
+    An ``n`` past 2**60, the sweeps' value for unreached vertices, counts as 2**60.
     """
-    if n < 1:
-        raise ValueError("level count must be positive")
-    verts = guiding.vertices
-    if (verts >= domain.vertex_count).any():
-        raise ValueError("guiding vertex id out of range")
+    n = min(_count(n, "level count"), _INF)
+    verts = _ids(guiding.vertices, "guiding vertex ids", domain.vertex_count)
     if (guiding.indices > n).any():
         raise ValueError(f"guiding index exceeds level count {n}")
     upper_raw = min_offset_sweep(domain, verts, guiding.indices)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, GridSpec, _freeze, build_grid
+from .domain import Domain, GridSpec, _count, _freeze, build_grid
 from .fields import ScalarField
 from .gvf import _sample_arrays, fit_gvf, to_scalar
 
@@ -74,8 +74,7 @@ def harmonic_relax(field: ScalarField, fixed: Mapping[int, float],
     """
     domain = field.domain
     fixed_verts, fixed_vals = _sample_arrays(domain, fixed, "fixed")
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
+    max_iter = _count(max_iter, "max_iter", 0)
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
 
@@ -188,10 +187,9 @@ def smooth_reconstruct(dom, samples: Mapping[int, float], order: int = 1,
     grid is used), or any other Domain for order=0 only (derivative
     stencils need grid structure).
     """
-    if order not in (0, 1, 2):
+    order, sweeps = _count(order, "order", 0), _count(sweeps, "sweeps", 0)
+    if order > 2:
         raise ValueError("order must be 0, 1 or 2")
-    if sweeps < 0:
-        raise ValueError("sweeps must be >= 0")
     domain = _as_domain(dom)
     if order >= 1 and domain.grid is None:
         raise ValueError("orders >= 1 need a grid domain for derivatives")

@@ -94,12 +94,35 @@ class TestCheck:
         # 3.0 / 1e-300 levels are past what a float index resolves.
         (["--grid", "4x4", "--delta", "1e-300"],
          "delta 1e-300 is too small for the sample range"),
+        # 10**16 vertices: numpy's MemoryError, at once, for 71 PiB.
+        (["--grid", "100000000x100000000"], "error: Unable to allocate 71.1 PiB"),
+        (["--grid", "2x0"], "error: grid height must be a positive integer"),
     ], ids=["grid-by", "grid-letter", "spacing-inf", "spacing-nan", "delta-word",
-            "delta-negative", "delta-inf", "delta-nan", "delta-tiny"])
+            "delta-negative", "delta-inf", "delta-nan", "delta-tiny",
+            "grid-past-memory", "grid-zero-high"])
     def test_bad_values_exit_one(self, corner_samples, capsys, flags, message):
         rc = main(["check", "--samples", corner_samples, *flags])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,body,message", [
+        ("--mesh", "v 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 2 1" + "0" * 400 + "\n",
+         "line 4: face index out of range"),
+        ("--edges", "vertices 100000000000000000000\n0 1\n",
+         "error: vertex_count 100000000000000000000 is too large"),
+        ("--edges", "vertices 1" + "0" * 400 + "\n0 1\n", "is too large"),
+        ("--edges", "vertices 100000000000000\n0 1\n",
+         "error: vertex_count 100000000000000 is too large"),
+    ], ids=["mesh-face-401-digits", "edges-count-1e20", "edges-count-401-digits",
+            "edges-count-1e14"])
+    def test_huge_ids_and_counts_exit_one(self, corner_samples, tmp_path, capsys,
+                                          flag, body, message):
+        p = tmp_path / "domain.txt"
+        p.write_text(body)
+        rc = main(["check", "--samples", corner_samples, flag, str(p)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_auto_delta_on_mesh_computes_pair_distances_once(self, tmp_path,
                                                             monkeypatch, capsys):
@@ -473,6 +496,22 @@ class TestBench:
                    "--out", str(tmp_path)])
         assert rc == 0
         assert len(calls) == 1
+
+    def test_one_row_grid_records_smooth_failures(self, tmp_path, capsys):
+        # two-line-samples takes one line on a grid one row high, and smooth
+        # fails there (no y-derivative) as rows, not as the run.
+        rc = main(["bench", "--grid", "4x1", "--method", "gvf,smooth",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "bench.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 * 5 * 2
+        for row in rows:
+            error = row.split(",")[-1]
+            if ",smooth," in row:
+                assert error == "ValueError: y-derivative undefined: grid height < 2"
+            else:
+                assert error == ""
+        assert "(30 rows, 15 failed)" in capsys.readouterr().out
 
 
 class TestRender:

@@ -280,6 +280,9 @@ class TestLoadMesh:
          "line 5: face repeats a corner"),
         ("v 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 2 99999999999999999999\n",
          "line 4: face index out of range"),
+        # Past the float range as well as int64.
+        pytest.param("v 0 0 0\nv 1 0 0\nv 1 1 0\nf 1 2 1" + "0" * 400 + "\n",
+                     "line 4: face index out of range", id="face-index-401-digits"),
     ])
     def test_malformed(self, tmp_path, body, match):
         p = tmp_path / "bad.obj"

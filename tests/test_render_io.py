@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gradvar import (Domain, GridSpec, LevelField, LevelTable, ParsedSamples,
                      ScalarField, build_graph, build_grid, load_mesh,
@@ -375,6 +376,11 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match="header"):
             read_field_csv(p)
 
+    def test_level_index_past_int64_reads_as_2_pow_60(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text(f"vertex,index,value\n0,{10 ** 20},1.0\n1,{-10 ** 400},1.0\n")
+        assert read_field_csv(p).indices.tolist() == [2 ** 60, -2 ** 60]
+
 
 class TestMetricsJson:
     def test_schema_tag_and_sorted_keys(self, tmp_path):
@@ -424,6 +430,15 @@ class TestEdgeList:
         count, edges = read_edge_list(p)
         assert count == 5 and edges.shape == (0, 2)
 
+    def test_ids_past_int64_read_as_2_pow_60(self, tmp_path):
+        # In range of their count, but no Domain holds that many vertices.
+        p = tmp_path / "g.txt"
+        p.write_text(f"vertices {10 ** 20}\n0 {10 ** 20 - 1}\n")
+        count, edges = read_edge_list(p)
+        assert (count, edges.tolist()) == (10 ** 20, [[0, 2 ** 60]])
+        with pytest.raises(ValueError, match="vertex_count 10{20} is too large"):
+            build_graph(edges, count)
+
 
 class TestAtomicWrites:
     def test_no_temp_files_left_behind(self, tmp_path):
@@ -465,3 +480,47 @@ class TestLineNumbers:
         p.write_text(body)
         with pytest.raises(ValueError, match=match):
             reader(p)
+
+
+# Generated reader input: integers of any size, floats, junk tokens, face
+# corners written i/j, # comments and blank lines.
+INT = st.one_of(st.integers(-2, 8), st.integers(-10 ** 401, 10 ** 401)).map(str)
+NUMBER = st.one_of(INT, st.floats().map(repr),
+                   st.sampled_from(["x", "1_0", "1e400", "0x10", "", "-"]))
+CORNER = st.one_of(INT, st.lists(INT, min_size=2, max_size=3).map("/".join), NUMBER)
+
+
+def _joined(token, sep, lo, hi, lead=""):
+    return st.lists(token, min_size=lo, max_size=hi).map(lambda t: lead + sep.join(t))
+
+
+READER_LINES = {
+    load_mesh: (st.just("v 0 0 0"), st.one_of(
+        _joined(NUMBER, " ", 3, 3, "v "), _joined(CORNER, " ", 3, 4, "f "),
+        _joined(NUMBER, " ", 1, 3))),
+    read_edge_list: (NUMBER.map("vertices {}".format), _joined(NUMBER, " ", 1, 3)),
+    read_samples_csv: (st.sampled_from(["x,y,value", "vertex,value", "a,b"]),
+                       _joined(NUMBER, ",", 1, 3)),
+    # Field rows lead with their own record number, so most reach the values.
+    read_field_csv: (st.sampled_from(["vertex,value", "vertex,index,value"]),
+                     _joined(NUMBER, ",", 1, 2, ",")),
+}
+
+
+@pytest.mark.parametrize("reader", READER_LINES, ids=lambda r: r.__name__)
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_readers_raise_only_value_errors(tmp_path, reader, data):
+    head, line = READER_LINES[reader]
+    lines = [data.draw(head)]
+    for n, row in enumerate(data.draw(st.lists(line, max_size=6))):
+        if reader is read_field_csv:
+            row = f"{n}{row}"
+        lines += [row + data.draw(st.sampled_from(["", " # c"])),
+                  *data.draw(st.lists(st.sampled_from(["", "# c"]), max_size=1))]
+    p = tmp_path / "in.txt"
+    p.write_text("\n".join(lines) + "\n")
+    try:
+        reader(p)
+    except ValueError:
+        pass
