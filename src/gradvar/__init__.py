@@ -3,7 +3,7 @@
 Core idea: quantize real sample values into a chain of levels, extend
 the resulting indices across the whole graph so adjacent vertices never
 differ by more than one level, then optionally smooth the output by
-harmonic relaxation or iterated derivative refitting.  Moving least
+a harmonic (Dirichlet) solve or iterated derivative refitting.  Moving least
 squares and Shepard interpolation are included as pointwise baselines
 for comparison on identical inputs.
 """

@@ -53,9 +53,10 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, default=1, choices=[0, 1, 2],
                    help="smoothing order for smooth, degree for mls")
     p.add_argument("--iters", type=int, default=100,
-                   help="max harmonic relaxation iterations")
+                   help="max harmonic conjugate-gradient iterations")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="relaxation stop threshold")
+                   help="harmonic stop: every free vertex within tol of its"
+                        " neighbors' mean")
     p.add_argument("--power", type=float, default=2.0,
                    help="shepard inverse-distance power")
 

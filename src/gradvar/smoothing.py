@@ -1,7 +1,7 @@
 """Smoothness post-processing for fitted fields.
 
-Three tools: Jacobi relaxation toward a discrete harmonic field with
-fixed (Dirichlet) vertices, finite-difference gradients on grid domains,
+Three tools: a conjugate-gradient solve for the discrete harmonic field
+with fixed (Dirichlet) vertices, finite-difference gradients on grid domains,
 and an iterated Taylor-blend pipeline that re-fits derivative fields to
 push the reconstruction toward higher-order smoothness.
 """
@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, GridSpec, _count, _freeze, build_grid
+from .domain import (UNREACHABLE, Domain, GridSpec, _count, _freeze,
+                     bfs_distances, build_grid)
 from .fields import ScalarField
 from .gvf import _sample_arrays, fit_gvf, to_scalar
 
 
 @dataclass(frozen=True)
 class RelaxReport:
-    """Outcome of a relaxation run."""
+    """CG iterations run and the returned field's largest |neighbor mean - value|."""
 
     iterations_run: int
     final_residual: float
@@ -63,14 +64,15 @@ def _neighbor_sums(domain: Domain, values: np.ndarray) -> np.ndarray:
 def harmonic_relax(field: ScalarField, fixed: Mapping[int, float],
                    max_iter: int = 100, tol: float = 1e-9,
                    ) -> tuple[ScalarField, RelaxReport]:
-    """Jacobi-relax toward the discrete harmonic field with Dirichlet data.
+    """Solve for the discrete harmonic field with Dirichlet data ``fixed``.
 
-    Each sweep replaces every free vertex by the arithmetic mean of its
-    neighbors, all from the previous sweep's snapshot; fixed vertices
-    keep their prescribed values throughout.  Stops after max_iter sweeps
-    or once the largest single-vertex update drops below tol.  Every free
-    value stays inside [min, max] of the fixed values and initial free
-    values, since means cannot escape that band.
+    Conjugate gradients on the Dirichlet Laplacian, preconditioned by the
+    vertex degree, solve for every free vertex that a fixed vertex reaches;
+    other free vertices keep their start values.  Stops after max_iter
+    iterations, on breakdown, or once every solved vertex is within tol of
+    its neighbors' mean as checked on the field itself (else the solve
+    restarts from it).  Solved values are clipped into [min, max] of the
+    fixed values and the start's free values, which holds the exact solution.
     """
     domain = field.domain
     fixed_verts, fixed_vals = _sample_arrays(domain, fixed, "fixed")
@@ -86,19 +88,36 @@ def harmonic_relax(field: ScalarField, fixed: Mapping[int, float],
         raise ValueError(f"free vertex {v} has no neighbors; its mean is undefined")
 
     values = np.array(field.values, dtype=np.float64)
+    box = np.concatenate([fixed_vals, values[free]])
     values[fixed_verts] = fixed_vals
-    iterations = 0
-    residual = 0.0
-    if free.any():
-        deg = degrees.astype(np.float64)
-        for _ in range(max_iter):
-            means = _neighbor_sums(domain, values) / np.where(deg > 0, deg, 1.0)
-            update = np.abs(means[free] - values[free]).max()
-            values[free] = means[free]
-            iterations += 1
-            residual = float(update)
-            if residual < tol:
+    solve = free & (bfs_distances(domain, fixed_verts) != UNREACHABLE)
+    deg = np.where(solve, degrees, 1).astype(np.float64)
+
+    def laplacian(x):
+        return np.where(solve, deg * x - _neighbor_sums(domain, x), 0.0)
+
+    # z = r / deg is each solved vertex's neighbor mean minus its value.
+    iterations, z = 0, None
+    while iterations < max_iter:
+        if z is None or np.abs(z).max() < tol:  # (re)start from the true defect
+            r = -laplacian(values)
+            z = r / deg
+            p, rz = z, r @ z
+            if np.abs(z).max() < tol:
                 break
+        ap = laplacian(p)
+        pap = p @ ap
+        if not (rz > 0 and pap > 0):
+            break
+        alpha = rz / pap
+        values += alpha * p
+        r -= alpha * ap
+        z = r / deg
+        iterations += 1
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    values[solve] = np.clip(values[solve], box.min(), box.max())
+    residual = float(np.abs(laplacian(values) / deg).max())
     return ScalarField(domain=domain, values=values), RelaxReport(
         iterations_run=iterations, final_residual=residual)
 

@@ -4,6 +4,8 @@ Everything here deliberately avoids the library's own graph and sweep
 code: adjacency comes in as plain lists, traversal is a hand-rolled
 queue BFS, and extension existence is decided by brute-force enumeration
 over all assignments.  Tests compare library outputs against these.
+``component_graph`` makes random test domains with ``build_graph``; the
+oracles take their adjacency as plain lists.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradvar import GuidingSet
+from gradvar import GuidingSet, build_graph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -68,6 +70,54 @@ def python_bfs(adjacency: list[list[int]], sources) -> list[int]:
                 dist[w] = dist[v] + 1
                 q.append(w)
     return dist
+
+
+def component_graph(rng, sizes):
+    """A random edge-list graph of connected pieces of the given sizes.
+
+    Each piece is a random tree plus a few chords, vertex ids shuffled;
+    returns the domain and its adjacency lists.
+    """
+    total = int(sum(sizes))
+    perm = rng.permutation(total)
+    edges, start = [], 0
+    for size in sizes:
+        ids = perm[start:start + size]
+        for k in range(1, size):
+            edges.append((ids[k], ids[rng.integers(0, k)]))
+        for _ in range(int(rng.integers(0, size))):
+            a, b = rng.choice(ids, size=2)
+            if a != b:
+                edges.append((a, b))
+        start += size
+    domain = build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), total)
+    return domain, domain.adjacency_lists()
+
+
+def oracle_dirichlet(adjacency: list[list[int]], fixed: dict) -> np.ndarray:
+    """The discrete harmonic field with Dirichlet data ``fixed``.
+
+    Every free vertex equals the mean of its neighbors: a dense
+    ``np.linalg.solve`` of the free block of the graph Laplacian.  Every
+    component must hold a fixed vertex, or that block is singular.
+    """
+    x = np.zeros(len(adjacency))
+    free = [v for v in range(len(adjacency)) if v not in fixed]
+    pos = {v: i for i, v in enumerate(free)}
+    a = np.zeros((len(free), len(free)))
+    b = np.zeros(len(free))
+    for v in free:
+        a[pos[v], pos[v]] = len(adjacency[v])
+        for w in adjacency[v]:
+            if w in pos:
+                a[pos[v], pos[w]] -= 1.0
+            else:
+                b[pos[v]] += fixed[w]
+    for v, value in fixed.items():
+        x[v] = value
+    if free:
+        x[free] = np.linalg.solve(a, b)
+    return x
 
 
 def all_assignments(vertex_count: int, n: int) -> np.ndarray:

@@ -411,6 +411,24 @@ class TestFit:
         names = {p.name for p in out.iterdir()}
         assert names == {"field.csv", "metrics.json", "run.json"}
 
+    def test_harmonic_keeps_sample_free_component(self, tmp_path):
+        # 5-6-7-8 holds no sample: its rows stay the gvf start's, byte for byte.
+        edges = tmp_path / "g.txt"
+        edges.write_text("vertices 9\n0 1\n1 2\n2 3\n0 4\n4 3\n5 6\n6 7\n7 8\n")
+        samples = tmp_path / "s.csv"
+        samples.write_text("vertex,value\n0,0.0\n3,3.0\n")
+        rows = {}
+        for iters in ("100", "0"):
+            out = tmp_path / iters
+            assert main(["fit", "--edges", str(edges), "--samples", str(samples),
+                         "--method", "harmonic", "--iters", iters,
+                         "--out", str(out)]) == 0
+            rows[iters] = (out / "field.csv").read_text().splitlines()
+        assert rows["100"][6:] == rows["0"][6:] == \
+            ["5,1.5", "6,1.5", "7,1.5", "8,1.5"]
+        solved = read_field_csv(tmp_path / "100" / "field.csv").values[:5]
+        assert np.allclose(solved, [0.0, 1.0, 2.0, 3.0, 1.5], atol=1e-9)
+
     def test_mesh_domain(self, tmp_path):
         mesh = tmp_path / "m.obj"
         mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")

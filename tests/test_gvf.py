@@ -11,7 +11,8 @@ from gradvar import (UNREACHABLE, GridSpec, GuidingSet, InfeasibleError,
 from gradvar import gvf
 from gradvar.gvf import _pair_distances
 
-from checks import gradual_variation_ok, guiding_set, python_bfs
+from checks import (component_graph, gradual_variation_ok, guiding_set,
+                    python_bfs)
 
 
 def path_domain(n):
@@ -475,28 +476,6 @@ class TestGridMetric:
         assert a.delta == b.delta
         assert a.field.idx.tolist() == b.field.idx.tolist()
         assert to_scalar(a.field).values.tolist() == to_scalar(b.field).values.tolist()
-
-
-def component_graph(rng, sizes):
-    """A random edge-list graph of connected pieces of the given sizes.
-
-    Each piece is a random tree plus a few chords, vertex ids shuffled;
-    returns the domain and its adjacency lists.
-    """
-    total = int(sum(sizes))
-    perm = rng.permutation(total)
-    edges, start = [], 0
-    for size in sizes:
-        ids = perm[start:start + size]
-        for k in range(1, size):
-            edges.append((ids[k], ids[rng.integers(0, k)]))
-        for _ in range(int(rng.integers(0, size))):
-            a, b = rng.choice(ids, size=2)
-            if a != b:
-                edges.append((a, b))
-        start += size
-    domain = build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), total)
-    return domain, domain.adjacency_lists()
 
 
 def sweep_graph(kind, rng):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradvar import (GradientField, GridSpec, ScalarField, build_graph,
                      build_grid, discrete_gradient, fit_gvf, harmonic_relax,
                      smooth_reconstruct, to_scalar, total_variation)
+
+from checks import component_graph, oracle_dirichlet, python_bfs
 
 
 def path_domain(n):
@@ -15,6 +17,23 @@ def grid_field(grid, fn):
     d = build_grid(grid)
     x, y = d.coords[:, 0], d.coords[:, 1]
     return d, ScalarField(domain=d, values=fn(x, y))
+
+
+def mean_defect(adjacency, values, verts):
+    """Largest |neighbor mean - value| over ``verts``, from adjacency lists."""
+    return max((abs(sum(values[w] for w in adjacency[v]) / len(adjacency[v])
+                    - values[v]) for v in verts), default=0.0)
+
+
+def fix_every_component(rng, adjacency, count):
+    """``count`` random vertices, plus one in each component they miss,
+    mapped to random values."""
+    verts = set(rng.choice(len(adjacency), size=count, replace=False).tolist())
+    dist = python_bfs(adjacency, verts)
+    while -1 in dist:
+        verts.add(dist.index(-1))
+        dist = python_bfs(adjacency, verts)
+    return {v: float(rng.uniform(-5, 5)) for v in sorted(verts)}
 
 
 class TestHarmonicRelax:
@@ -96,6 +115,78 @@ class TestHarmonicRelax:
         out, rep = harmonic_relax(f, {0: 0.0}, max_iter=0)
         assert rep.iterations_run == 0
         assert out.values.tolist() == [0.0, 5.0, 0.0]
+
+    def test_breakdown_stops_cleanly(self):
+        # One free vertex: the first step is exact and leaves r = 0.
+        d = path_domain(3)
+        f = ScalarField(domain=d, values=np.zeros(3))
+        out, rep = harmonic_relax(f, {0: 0.0, 2: 2.0}, tol=0.0)
+        assert rep.iterations_run == 1
+        assert rep.final_residual == 0.0
+        assert out.values.tolist() == [0.0, 1.0, 2.0]
+
+    def test_component_without_fixed_vertex_keeps_start(self):
+        # 4-5-6 is bipartite and no fixed vertex reaches it.
+        d = build_graph([(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)], 7)
+        f = ScalarField(domain=d, values=[0.0, 5.0, -3.0, 2.0, 1.0, 4.0, 9.0])
+        for max_iter, tol in ((1, 0.0), (2, 0.0), (100, 1e-9), (500, 0.0)):
+            out, rep = harmonic_relax(f, {0: 1.0}, max_iter=max_iter, tol=tol)
+            assert out.values[4:].tolist() == [1.0, 4.0, 9.0]
+            assert rep.final_residual == pytest.approx(
+                mean_defect(d.adjacency_lists(), out.values, [1, 2, 3]),
+                rel=1e-9, abs=1e-15)
+        assert np.abs(out.values[:4] - 1.0).max() < 1e-12
+        assert rep.final_residual < 1e-12
+
+    def test_defaults_reach_the_dense_solve(self):
+        grid = GridSpec(32, 32)
+        d, truth = grid_field(grid, lambda x, y: np.sin(x / 9) + 2 * np.cos(y / 7))
+        rng = np.random.default_rng(0)
+        verts = rng.choice(32 * 32, size=20, replace=False)
+        samples = {int(v): float(truth.values[v]) for v in verts}
+        start = to_scalar(fit_gvf(d, samples).field)
+        out, _ = harmonic_relax(start, samples)
+        want = oracle_dirichlet(d.adjacency_lists(), samples)
+        assert np.abs(out.values - want).max() < 1e-4
+
+
+class TestHarmonicAgainstDenseSolve:
+    """harmonic_relax against np.linalg.solve on the free block, and its
+    report against the defect recomputed from the returned field."""
+
+    def _check(self, domain, fixed, rng):
+        adj = domain.adjacency_lists()
+        free = [v for v in range(domain.vertex_count) if v not in fixed]
+        start = ScalarField(domain=domain,
+                            values=rng.uniform(-5, 5, domain.vertex_count))
+        for max_iter, tol in ((int(rng.integers(1, 6)), 0.0), (1000, 1e-13)):
+            out, rep = harmonic_relax(start, fixed, max_iter=max_iter, tol=tol)
+            assert rep.final_residual == pytest.approx(
+                mean_defect(adj, out.values, free), rel=1e-9, abs=1e-13)
+        assert rep.final_residual < 1e-13
+        assert np.abs(out.values - oracle_dirichlet(adj, fixed)).max() < 1e-9
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.sampled_from(["four", "eight"]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(1, 8, "four", 0)
+    @example(8, 1, "eight", 1)
+    @settings(max_examples=40)
+    def test_grids(self, w, h, connectivity, seed):
+        d = build_grid(GridSpec(w, h, connectivity))
+        rng = np.random.default_rng(seed)
+        fixed = fix_every_component(rng, d.adjacency_lists(),
+                                    int(rng.integers(1, w * h + 1)))
+        self._check(d, fixed, rng)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        for d in (path_domain(n), component_graph(rng, [n])[0],
+                  component_graph(rng, rng.integers(1, 12, size=3))[0]):
+            fixed = fix_every_component(rng, d.adjacency_lists(),
+                                        int(rng.integers(1, 4)))
+            self._check(d, fixed, rng)
 
 
 class TestDiscreteGradient:
