@@ -233,17 +233,45 @@ def _record_line(path, n: int, kind: str | None = None) -> int:
             if kind is None or fields[0] == kind][n]
 
 
-def load_mesh(path) -> Domain:
-    """Parse a minimal OBJ subset into the mesh's vertex/edge graph.
+# The bytes a token of a plain file may hold: printable ASCII but for the
+# space, the comment mark and the face-corner slash.
+_PLAIN = bytes(range(0x21, 0x7F)).translate(None, b"#/")
 
-    Recognized records: ``v x y z`` and ``f i j k [l]`` with 1-based
-    indices; ``#`` starts a comment.  Faces must be triangles or quads and
-    contribute their boundary edges; a corner index out of range, or one a
-    face repeats, is an error.  Vertex coords keep the first two
-    coordinates (x, y).  A malformed ``v``/``f`` line raises ``ValueError``
-    naming the line number; other record types are ignored.
-    """
-    verts: list[tuple[float, float]] = []
+
+def _table(text: bytes, widths: tuple[int, ...],
+           kind: bytes | None = None) -> tuple[list[bytes], int] | None:
+    """(tokens, width) of ``text``: its whitespace-split tokens, if it holds
+    only :data:`_PLAIN` bytes, spaces, tabs and newlines, and every non-blank
+    line holds one ``width`` in ``widths`` of them after a first token
+    ``kind``, if given, which is dropped.  Else None."""
+    if text.translate(None, _PLAIN + b" \t\n"):
+        return None
+    b = np.frombuffer(text, dtype=np.uint8)
+    blank = np.concatenate([[True], b <= 0x20])   # a blank before the first byte
+    starts = np.flatnonzero(blank[:-1] > blank[1:])
+    # Tokens per line: token starts before each line end, differenced.
+    ends = np.append(np.flatnonzero(b == 0x0A), len(b))
+    per_line = np.diff(np.searchsorted(starts, ends), prepend=0)
+    del blank, starts
+    per_line = per_line[per_line > 0]
+    if per_line.size == 0 or (per_line != per_line[0]).any():
+        return None
+    width, rows = int(per_line[0]), len(per_line)
+    if width - (kind is not None) not in widths:
+        return None
+    tokens = text.split()
+    if kind is not None:
+        if tokens[::width].count(kind) != rows:
+            return None
+        del tokens[::width]
+        width -= 1
+    return tokens, width
+
+
+def _mesh_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vertex x, y, z rows, 1-based face corners, corners per face) of an OBJ
+    file, read line by line; a malformed record raises naming its line."""
+    verts: list[tuple[float, float, float]] = []
     corners: list[int] = []      # every face's 1-based indices, in file order
     sizes: list[int] = []        # 3 or 4 corners per face
     for lineno, tokens in _records(path):
@@ -253,11 +281,10 @@ def load_mesh(path) -> Domain:
                 raise ValueError(
                     f"{path}: line {lineno}: vertex record needs 3 coordinates")
             try:
-                x, y, _z = (float(t) for t in tokens[1:])
+                verts.append(tuple(float(t) for t in tokens[1:]))
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: non-numeric vertex coordinate") from None
-            verts.append((x, y))
         elif kind == "f":
             if len(tokens) not in (4, 5):
                 raise ValueError(
@@ -272,9 +299,60 @@ def load_mesh(path) -> Domain:
         # Anything else (vn, vt, o, g, ...) is outside the subset; skip.
     if not verts:
         raise ValueError(f"{path}: no vertices found")
-    n = len(verts)
-    ids = _ids(corners, "face indices")
-    size = np.asarray(sizes, dtype=np.int64)
+    return (np.array(verts, dtype=np.float64), _ids(corners, "face indices"),
+            np.array(sizes, dtype=np.int64))
+
+
+def _parse(tokens: list[bytes], kind: type) -> np.ndarray | None:
+    """``kind`` (int or float) of every token, as an array of that kind;
+    None once a token is one ``kind()`` rejects, or past int64."""
+    try:
+        return np.fromiter(map(kind, tokens), kind, len(tokens))
+    except (ValueError, OverflowError):
+        return None
+
+
+def _mesh_bulk(path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """What :func:`_mesh_records` returns, read as whole arrays, for a plain
+    OBJ file of ``v`` lines and then ``f`` lines of one width; else None."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    cut = data.find(b"\nf") + 1
+    # One section at a time, so that only one token list is alive.
+    head, tail = data[:cut], data[cut:]
+    del data
+    table = _table(head, (3,), b"v")
+    del head
+    xyz = table and _parse(table[0], float)
+    del table
+    if xyz is None:
+        return None
+    table = _table(tail, (3, 4), b"f")
+    del tail
+    ids = table and _parse(table[0], int)
+    if ids is None:
+        return None
+    return xyz.reshape(-1, 3), ids, np.full(len(ids) // table[1], table[1])
+
+
+def load_mesh(path) -> Domain:
+    """Parse a minimal OBJ subset into the mesh's vertex/edge graph.
+
+    Recognized records: ``v x y z`` and ``f i j k [l]`` with 1-based
+    indices; ``#`` starts a comment.  Faces must be triangles or quads and
+    contribute their boundary edges; a corner index out of range, or one a
+    face repeats, is an error, as is a coordinate that is not finite.
+    Vertex coords keep the first two coordinates (x, y).  A malformed
+    ``v``/``f`` line raises ``ValueError`` naming the line number; other
+    record types are ignored.  A plain file is read as whole arrays; any
+    other is read line by line, with the same result.
+    """
+    xyz, ids, size = _mesh_bulk(path) or _mesh_records(path)
+    finite = np.isfinite(xyz).all(axis=1)
+    if not finite.all():
+        lineno = _record_line(path, int(np.argmin(finite)), "v")
+        raise ValueError(f"{path}: line {lineno}: non-finite vertex coordinate")
+    n = len(xyz)
     face = np.repeat(np.arange(len(size)), size)
     # Each corner joins the next one of its face; the last closes the cycle.
     first = np.cumsum(size) - size
@@ -290,7 +368,7 @@ def load_mesh(path) -> Domain:
         what = "index out of range" if out_of_range[corner] else "repeats a corner"
         raise ValueError(f"{path}: line {lineno}: face {what}")
     edges = np.stack([ids - 1, ids[nxt] - 1], axis=1)
-    return Domain(n, edges, coords=verts)
+    return Domain(n, edges, coords=xyz[:, :2])
 
 
 def _gather_neighbors(offsets: np.ndarray, targets: np.ndarray,

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Domain, _ids, _record_line, _records
+from .domain import Domain, _ids, _parse, _record_line, _records, _table
 from .gvf import LevelField, to_scalar
 
 
@@ -131,22 +131,30 @@ def sample_coords(parsed: ParsedSamples, domain: Domain) -> np.ndarray:
     return np.column_stack([domain.coords[verts], parsed.rows[:, 1]])
 
 
-def _write_field_csv(path, header: str, keys, values) -> None:
-    """The header, then one `key,value` row per vertex with value by repr."""
-    rows = [f"{k},{v!r}" for k, v in zip(keys, values.tolist())]
+def _write_field_csv(path, header: str, rows: list[str]) -> None:
+    """The header, then the rows, one per line."""
     atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 def write_level_csv(path, field: LevelField) -> None:
-    """Export a level field as `vertex,index,value` rows."""
-    keys = [f"{v},{i}" for v, i in enumerate(field.idx.tolist())]
-    _write_field_csv(path, "vertex,index,value", keys, to_scalar(field).values)
+    """Export a level field as `vertex,index,value` rows.
+
+    A level field holds one value per level, so each level's `index,value`
+    is formatted once, by repr, and gathered per vertex.
+    """
+    values = to_scalar(field).values
+    _, first, inverse = np.unique(field.idx, return_index=True, return_inverse=True)
+    cells = np.array([f"{i},{v!r}" for i, v in zip(field.idx[first].tolist(),
+                                                   values[first].tolist())], dtype=object)
+    _write_field_csv(path, "vertex,index,value",
+                     [f"{v},{c}" for v, c in enumerate(cells[inverse].tolist())])
 
 
 def write_scalar_csv(path, values: np.ndarray) -> None:
     """Export per-vertex values as `vertex,value` rows."""
     values = np.asarray(values, dtype=np.float64)
-    _write_field_csv(path, "vertex,value", range(len(values)), values)
+    _write_field_csv(path, "vertex,value",
+                     [f"{v},{x!r}" for v, x in enumerate(values.tolist())])
 
 
 class FieldCsv(NamedTuple):
@@ -156,13 +164,10 @@ class FieldCsv(NamedTuple):
     indices: np.ndarray | None
 
 
-def read_field_csv(path) -> FieldCsv:
-    """Re-import a field CSV written by this package, losslessly.
-
-    Its vertex column must run 0..N-1 in order; the first row that breaks
-    this, or holds a non-numeric or non-finite entry, raises naming its
-    file line.  A level index past int64 reads as +-2**60, past every level.
-    """
+def _field_records(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """(values, level indices or None) of a field CSV, read line by line; a
+    malformed row, or one whose vertex breaks the order 0..N-1, raises
+    naming its line."""
     names, records = _csv_records(path, "field",
                                   ("vertex,index,value", "vertex,value"))
     with_index = names == "vertex,index,value"
@@ -180,13 +185,46 @@ def read_field_csv(path) -> FieldCsv:
         if vertex != len(vals) - 1:
             raise ValueError(f"{path}: line {lineno}: expected vertex "
                              f"{len(vals) - 1}, got {vertex}")
-    values = np.array(vals, dtype=np.float64)
+    return (np.array(vals, dtype=np.float64),
+            _ids(idxs, "level indices") if with_index else None)
+
+
+def _field_bulk(path) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """What :func:`_field_records` returns, read as whole arrays, for a plain
+    field CSV: an exact header, no spaces or tabs, one width, no empty field
+    and the vertices 0..N-1 in order; else None."""
+    with open(path, "rb") as fh:
+        header, _, body = fh.read().partition(b"\n")
+    width = {b"vertex,value": 2, b"vertex,index,value": 3}.get(header)
+    if width is None or b" " in body or b"\t" in body:
+        return None
+    # With commas the only separators, w-wide rows that hold w - 1 commas
+    # each have no empty field.
+    table = _table(body.replace(b",", b" "), (width,))
+    if not table or body.count(b",") != len(table[0]) // width * (width - 1):
+        return None
+    cols = [_parse(table[0][c::width], int if c < width - 1 else float)
+            for c in range(width)]
+    if any(c is None for c in cols) or (cols[0] != np.arange(len(cols[0]))).any():
+        return None
+    return cols[-1], cols[1] if width == 3 else None
+
+
+def read_field_csv(path) -> FieldCsv:
+    """Re-import a field CSV written by this package, losslessly.
+
+    Its vertex column must run 0..N-1 in order; the first row that breaks
+    this, or holds a non-numeric or non-finite entry, raises naming its
+    file line.  A level index past int64 reads as +-2**60, past every level.
+    A plain file is read as whole arrays; any other is read line by line,
+    with the same result.
+    """
+    values, indices = _field_bulk(path) or _field_records(path)
     finite = np.isfinite(values)
     if not finite.all():
         lineno = _record_line(path, int(np.argmin(finite)) + 1)
         raise ValueError(f"{path}: line {lineno}: non-finite value")
-    return FieldCsv(values=values,
-                    indices=_ids(idxs, "level indices") if with_index else None)
+    return FieldCsv(values=values, indices=indices)
 
 
 def write_metrics_json(path, payload: dict) -> None:

@@ -440,6 +440,20 @@ class TestFit:
         assert rc == 0
         assert len(read_field_csv(out / "field.csv").values) == 3
 
+    @pytest.mark.parametrize("coord", ["nan", "1e400"])
+    @pytest.mark.parametrize("method", ["gvf", "shepard", "mls"])
+    def test_non_finite_mesh_coordinate_exit_one(self, tmp_path, capsys, coord,
+                                                 method):
+        mesh = tmp_path / "m.obj"
+        mesh.write_text(f"v 0 0 0\nv {coord} 0 0\nv 0 1 0\nf 1 2 3\n")
+        samples = tmp_path / "s.csv"
+        samples.write_text("vertex,value\n0,0.0\n2,1.0\n")
+        rc = main(["fit", "--mesh", str(mesh), "--samples", str(samples),
+                   "--method", method, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"{mesh}: line 2: non-finite vertex coordinate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_mls_needs_coordinates_exit_one(self, tmp_path, capsys):
         edges = tmp_path / "g.txt"
         edges.write_text("vertices 2\n0 1\n")

@@ -291,6 +291,19 @@ class TestLoadMesh:
             load_mesh(p)
 
 
+    @pytest.mark.parametrize("body,line", [
+        ("v 0 0 0\nv nan 0 0\nv 1 1 0\nf 1 2 3\n", 2),
+        ("v 0 0 0\nv 1e400 0 0\nv 1 1 0\nf 1 2 3\n", 2),
+        ("v 0 0 0\nv 1 0 0\nv 1 1 -inf\nf 1 2 3\n", 3),
+        ("# c\nv 0 0 0\nvn 0 0 1\n\nv 1 -1E999 0 # x\nv 1 1 0\nf 1 2 3\n", 5),
+    ], ids=["nan", "past-float", "z", "behind-comments"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, body, line):
+        p = tmp_path / "m.obj"
+        p.write_text(body)
+        with pytest.raises(ValueError) as exc:
+            load_mesh(p)
+        assert str(exc.value) == f"{p}: line {line}: non-finite vertex coordinate"
+
     def test_mixed_faces_match_tuple_edge_list(self, tmp_path):
         # The parent layout: one (a, b) tuple per face side, in file order.
         rng = np.random.default_rng(5)

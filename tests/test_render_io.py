@@ -312,12 +312,15 @@ class TestFieldCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_level_csv_matches_row_formula(self, tmp_path):
-        # The bytes of the per-row formula base + (i - 1) * delta, by repr.
+        # The bytes of the per-row formula base + (i - 1) * delta, by repr,
+        # with the first and last level in use, on a one-level table too.
         rng = np.random.default_rng(3)
         d = build_graph([], 50)
-        for base, delta in [(0.1, 0.2), (-3.7, 1e-3), (1e5, 0.3)]:
-            idx = rng.integers(1, 40, size=50)
-            table = LevelTable(base=base, delta=delta, count=40)
+        for base, delta, count in [(0.1, 0.2, 40), (-3.7, 1e-3, 40), (1e5, 0.3, 40),
+                                   (-0.0, 0.25, 40), (-0.0, 0.7, 1), (2.5, 1e-3, 1)]:
+            idx = rng.integers(1, count + 1, size=50)
+            idx[[7, 31]] = 1, count
+            table = LevelTable(base=base, delta=delta, count=count)
             p = tmp_path / "f.csv"
             write_level_csv(p, LevelField(domain=d, idx=idx, table=table))
             rows = [f"{v},{i},{base + (i - 1) * delta!r}"
