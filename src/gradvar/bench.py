@@ -44,8 +44,9 @@ def fit_method(method: str, domain: Domain, samples, points, *,
     Only mls and shepard call ``points()``, for the SamplePoints they fit.
     gvf and harmonic's gvf start read ``delta`` (None: automatic) and
     ``policy``; ``order`` is smooth's order and mls's degree.  The report
-    holds gvf's ``delta``, harmonic's ``iterations_run`` and
-    ``final_residual``, and mls's ``fallback_vertices`` count.
+    holds gvf's ``delta``, harmonic's ``iterations_run``, ``final_residual``
+    and ``converged`` (``final_residual < tol``), and mls's
+    ``fallback_vertices`` count.
     """
     if method in ("gvf", "harmonic"):
         fit = fit_gvf(domain, samples, delta=delta, policy=policy)
@@ -54,7 +55,8 @@ def fit_method(method: str, domain: Domain, samples, points, *,
         field, relax = harmonic_relax(to_scalar(fit.field), samples,
                                       max_iter=iters, tol=tol)
         return MethodFit(field, None, {"iterations_run": relax.iterations_run,
-                                       "final_residual": relax.final_residual})
+                                       "final_residual": relax.final_residual,
+                                       "converged": bool(relax.final_residual < tol)})
     if method == "smooth":
         return MethodFit(smooth_reconstruct(domain, samples, order=order,
                                             sweeps=sweeps), None, {})

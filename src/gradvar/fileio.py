@@ -136,18 +136,32 @@ def _write_field_csv(path, header: str, rows: list[str]) -> None:
     atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
 
+def _distinct_cells(fmt, keys: np.ndarray, *columns: np.ndarray) -> list[str]:
+    """fmt(*row) for each row of ``columns``.  Rows with equal ``keys`` format
+    alike, so when at most a quarter of the keys are distinct, fmt runs once
+    per distinct key and the strings are gathered per row."""
+    ordered = np.sort(keys)   # not np.unique, whose hash dedup is far slower
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    if 4 * len(distinct) > len(keys):   # mostly distinct: the gather costs more
+        return list(map(fmt, *(c.tolist() for c in columns)))
+    inverse = np.searchsorted(distinct, keys)
+    rows = np.empty(len(distinct), dtype=np.int64)
+    rows[inverse] = np.arange(len(keys))   # some row that holds each key
+    cells = list(map(fmt, *(c[rows].tolist() for c in columns)))
+    return np.array(cells, dtype=object)[inverse].tolist()
+
+
 def write_level_csv(path, field: LevelField) -> None:
     """Export a level field as `vertex,index,value` rows.
 
     A level field holds one value per level, so each level's `index,value`
-    is formatted once, by repr, and gathered per vertex.
+    is formatted (by repr) once and gathered per vertex, see
+    :func:`_distinct_cells`.
     """
-    values = to_scalar(field).values
-    _, first, inverse = np.unique(field.idx, return_index=True, return_inverse=True)
-    cells = np.array([f"{i},{v!r}" for i, v in zip(field.idx[first].tolist(),
-                                                   values[first].tolist())], dtype=object)
+    cells = _distinct_cells("{},{!r}".format, field.idx, field.idx,
+                            to_scalar(field).values)
     _write_field_csv(path, "vertex,index,value",
-                     [f"{v},{c}" for v, c in enumerate(cells[inverse].tolist())])
+                     [f"{v},{c}" for v, c in enumerate(cells)])
 
 
 def write_scalar_csv(path, values: np.ndarray) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import _distinct_cells, atomic_write_bytes, atomic_write_text
 
 
 def _grid_values(field: ScalarField):
@@ -61,21 +61,24 @@ def render_heightmesh(field: ScalarField, path) -> None:
     """Write an OBJ surface with one vertex per grid point.
 
     Vertices sit at (x, y, value); each grid cell becomes two triangles,
-    so a WxH grid yields W*H vertices and 2(W-1)(H-1) faces.
+    so a WxH grid yields W*H vertices and 2(W-1)(H-1) faces.  Floats go
+    by repr; a level field's few distinct heights are formatted once per bit
+    pattern (-0.0 apart from 0.0) and gathered, see :func:`_distinct_cells`.
     """
-    grid, z = _grid_values(field)
-    xs = [repr(c * grid.spacing) for c in range(grid.width)]
+    grid = _grid_values(field)[0]
+    w, h = grid.width, grid.height
+    zs = _distinct_cells(repr, field.values.view(np.int64), field.values)
+    xs = [f"v {c * grid.spacing!r} " for c in range(w)]
     rows = []
-    for r, zrow in enumerate(z.tolist()):
-        y = repr(r * grid.spacing)
-        rows.append("".join([f"v {x} {y} {v!r}\n" for x, v in zip(xs, zrow)]))
+    for r in range(h):
+        y = f"{r * grid.spacing!r} "
+        rows.append("".join([f"{x}{y}{z}\n" for x, z in zip(xs, zs[r * w:r * w + w])]))
     # Per cell: (v00, v10, v11) and (v00, v11, v01), 1-based row-major ids;
     # one %-format pass per row of cells keeps the int objects few.
-    v00 = (np.arange(grid.height - 1)[:, None] * grid.width
-           + np.arange(grid.width - 1)[None, :] + 1)
-    v01 = v00 + grid.width
+    v00 = np.arange(h - 1)[:, None] * w + np.arange(w - 1)[None, :] + 1
+    v01 = v00 + w
     faces = np.stack([v00, v00 + 1, v01 + 1, v00, v01 + 1, v01], axis=2)
-    template = "f %d %d %d\n" * (2 * (grid.width - 1))
-    rows.extend(template % tuple(cells.tolist()) for cells in
-                faces.reshape(grid.height - 1, 6 * (grid.width - 1)))
+    template = "f %d %d %d\n" * (2 * (w - 1))
+    rows.extend(template % tuple(cells.tolist())
+                for cells in faces.reshape(h - 1, 6 * (w - 1)))
     atomic_write_text(path, "".join(rows))

@@ -57,8 +57,22 @@ def _as_domain(dom) -> Domain:
 
 
 def _neighbor_sums(domain: Domain, values: np.ndarray) -> np.ndarray:
-    src, dst = domain.directed_pairs()
-    return np.bincount(src, weights=values[dst], minlength=domain.vertex_count)
+    """Each vertex's sum of ``values`` over its neighbors: on a grid, the
+    (H, W) array shifted each way by each neighbor step and added up;
+    elsewhere a bincount over the directed pairs, which sums in another order."""
+    grid = domain.grid
+    if grid is None:
+        src, dst = domain.directed_pairs()
+        return np.bincount(src, weights=values[dst], minlength=domain.vertex_count)
+    h, w = grid.height, grid.width
+    z, out = values.reshape(h, w), np.zeros((h, w))
+    steps = ((0, 1), (1, 0), (1, 1), (1, -1))[:4 if grid.connectivity == "eight" else 2]
+    for dr, dc in steps:  # (r, c) in a and (r + dr, c + dc) in b are neighbors
+        a = np.s_[:h - dr, max(-dc, 0):w - max(dc, 0)]
+        b = np.s_[dr:, max(dc, 0):w - max(-dc, 0)]
+        out[a] += z[b]
+        out[b] += z[a]
+    return out.ravel()
 
 
 def harmonic_relax(field: ScalarField, fixed: Mapping[int, float],

@@ -429,6 +429,18 @@ class TestFit:
         solved = read_field_csv(tmp_path / "100" / "field.csv").values[:5]
         assert np.allclose(solved, [0.0, 1.0, 2.0, 3.0, 1.5], atol=1e-9)
 
+    @pytest.mark.parametrize("iters,converged", [(None, False), ("3000", True)])
+    def test_harmonic_reports_convergence(self, tmp_path, iters, converged):
+        samples = tmp_path / "s.csv"
+        samples.write_text("vertex,value\n0,0.0\n31,3.0\n992,-2.0\n1023,5.0\n")
+        extra = [] if iters is None else ["--iters", iters]
+        assert main(["fit", "--grid", "32x32", "--samples", str(samples),
+                     "--method", "harmonic", "--out", str(tmp_path / "o"),
+                     *extra]) == 0
+        m = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        assert m["converged"] is converged
+        assert (m["final_residual"] < 1e-9) is converged
+
     def test_mesh_domain(self, tmp_path):
         mesh = tmp_path / "m.obj"
         mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
@@ -556,6 +568,20 @@ class TestRender:
         assert rc == 0
         assert {p.name for p in out.iterdir()} == \
             {"heatmap.ppm", "height.pgm", "height.obj"}
+
+    @pytest.mark.parametrize("method", ["gvf", "mls"])
+    @pytest.mark.parametrize("grid", ["24x17", "1x60", "60x1"])
+    def test_same_mesh_as_the_fit(self, tmp_path, method, grid):
+        samples = tmp_path / "s.csv"
+        samples.write_text("vertex,value\n0,0.0\n7,2.5\n16,-1.25\n")
+        fit, out = tmp_path / "fit", tmp_path / "render"
+        flags = ["--grid", grid, "--connectivity", "8", "--spacing", "0.5"]
+        assert main(["fit", *flags, "--samples", str(samples), "--method",
+                     method, "--order", "1", "--out", str(fit)]) == 0
+        assert main(["render", *flags, "--field", str(fit / "field.csv"),
+                     "--out", str(out)]) == 0
+        for name in ("height.obj", "height.pgm", "heatmap.ppm"):
+            assert (out / name).read_bytes() == (fit / name).read_bytes()
 
     def test_length_mismatch_exit_one(self, tmp_path, capsys):
         field = tmp_path / "f.csv"

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gradvar import (Domain, GridSpec, LevelField, LevelTable, ParsedSamples,
-                     ScalarField, build_graph, build_grid, load_mesh,
+                     ScalarField, build_graph, build_grid, fit_gvf, load_mesh,
                      read_edge_list, read_field_csv, read_samples_csv,
                      render_heatmap, render_heightmesh, render_pgm16,
                      sample_coords, snap_to_vertices, write_level_csv,
-                     write_metrics_json, write_scalar_csv)
-from gradvar.fileio import atomic_write_text
+                     to_scalar, write_metrics_json, write_scalar_csv)
+from gradvar.fileio import _distinct_cells, atomic_write_text
 
 from checks import load_perfbench, oracle_heightmesh_text
 
@@ -157,6 +157,63 @@ class TestHeightmesh:
         atomic_write_text(want, oracle_heightmesh_text(
             values.reshape(height, width), width, height, spacing))
         assert p.read_bytes() == want.read_bytes()
+
+    def _assert_oracle_bytes(self, tmp_path, grid, values):
+        p, want = tmp_path / "m.obj", tmp_path / "want.obj"
+        render_heightmesh(field_on(grid, values), p)
+        atomic_write_text(want, oracle_heightmesh_text(
+            np.asarray(values).reshape(grid.height, grid.width),
+            grid.width, grid.height, grid.spacing))
+        assert p.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(24, 17), GridSpec(24, 17, "eight", spacing=0.5),
+        GridSpec(1, 120), GridSpec(120, 1, spacing=0.5)], ids=str)
+    def test_gvf_level_fields_match_per_vertex_loop(self, tmp_path, grid):
+        d = build_grid(grid)
+        rng = np.random.default_rng(grid.width * grid.height)
+        verts = rng.choice(d.vertex_count, size=5, replace=False)
+        fit = fit_gvf(d, {int(v): float(rng.uniform(-3, 3)) for v in verts})
+        values = to_scalar(fit.field).values
+        assert 4 * len(np.unique(values)) <= len(values)
+        self._assert_oracle_bytes(tmp_path, grid, values)
+
+    def test_signed_zero_levels_keep_their_own_repr(self, tmp_path):
+        # 0.0 and -0.0 compare equal but print apart.
+        grid = GridSpec(12, 9, spacing=0.5)
+        levels = np.array([-0.0, 0.0, 0.1 + 0.2, -1.5, 5e-324, 1e300])
+        idx = np.random.default_rng(5).integers(0, len(levels), size=108)
+        self._assert_oracle_bytes(tmp_path, grid, levels[idx])
+        text = (tmp_path / "m.obj").read_text()
+        assert " -0.0\n" in text and " 0.0\n" in text
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("shape", [(8, 5), (1, 40), (40, 1)], ids=str)
+    def test_distinct_count_around_the_cutoff(self, tmp_path, shape, extra):
+        grid = GridSpec(*shape)
+        n = grid.width * grid.height
+        levels = np.random.default_rng(n).normal(0, 1e3, size=n // 4 + extra) / 7
+        values = levels[np.arange(n) % len(levels)]
+        self._assert_oracle_bytes(tmp_path, grid, values)
+
+
+class TestDistinctCells:
+    """fileio._distinct_cells formats once per distinct key up to a quarter
+    of the rows distinct, else once per row, with the same strings either way."""
+
+    @pytest.mark.parametrize("distinct,calls", [(1, 1), (24, 24), (25, 25),
+                                                (26, 100), (100, 100)])
+    def test_cutoff(self, distinct, calls):
+        keys = np.arange(100) % distinct
+        seen = []
+
+        def fmt(k, v):
+            seen.append(k)
+            return f"{k}:{v!r}"
+
+        got = _distinct_cells(fmt, keys, keys, keys * 0.5)
+        assert got == [f"{k}:{k * 0.5!r}" for k in keys.tolist()]
+        assert len(seen) == calls
 
 
 class TestSamplesCsv:

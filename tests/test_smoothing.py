@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from gradvar import (GradientField, GridSpec, ScalarField, build_graph,
                      build_grid, discrete_gradient, fit_gvf, harmonic_relax,
                      smooth_reconstruct, to_scalar, total_variation)
+from gradvar.smoothing import _neighbor_sums
 
 from checks import component_graph, oracle_dirichlet, python_bfs
 
@@ -187,6 +188,30 @@ class TestHarmonicAgainstDenseSolve:
             fixed = fix_every_component(rng, d.adjacency_lists(),
                                         int(rng.integers(1, 4)))
             self._check(d, fixed, rng)
+
+
+class TestGridNeighborSums:
+    """The grid slice-add stencil against bincount over the same edges."""
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.sampled_from(["four", "eight"]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(1, 9, "four", 0)
+    @example(9, 1, "eight", 1)
+    @example(1, 1, "eight", 2)
+    @settings(max_examples=60)
+    def test_matches_bincount(self, w, h, connectivity, seed):
+        grid = build_grid(GridSpec(w, h, connectivity))
+        graph = build_graph(list(grid.edges()), grid.vertex_count)
+        values = np.random.default_rng(seed).normal(0, 1e3, size=w * h)
+        got = _neighbor_sums(grid, values)
+        want = _neighbor_sums(graph, values)
+        # At most 8 terms, summed in another order: within 8 ulps of the
+        # sum of magnitudes.
+        bound = 8 * np.finfo(np.float64).eps * _neighbor_sums(graph, np.abs(values))
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= bound).all()
+        ones = _neighbor_sums(grid, np.ones(w * h))
+        assert ones.tolist() == grid.degrees.astype(np.float64).tolist()
 
 
 class TestDiscreteGradient:
