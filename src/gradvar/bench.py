@@ -21,7 +21,8 @@ from .fields import ScalarField
 from .fileio import atomic_write_text
 from .gvf import LevelField, fit_gvf, to_scalar
 from .metrics import compute_metrics
-from .smoothing import _as_domain, harmonic_relax, smooth_reconstruct
+from .smoothing import (_as_domain, _relax_options, harmonic_relax,
+                        smooth_reconstruct)
 
 GENERATORS = ("affine", "gaussian-bump", "sinusoid", "two-line-samples",
               "boundary-ring")
@@ -122,6 +123,13 @@ def _sample_vertices(name: str, grid: GridSpec, rng: np.random.Generator,
     return np.sort(rng.choice(w * h, size=min(count, w * h), replace=False))
 
 
+def _grid(domain: Domain) -> GridSpec:
+    """The grid of a :func:`build_grid` domain, on which benchmarks draw."""
+    if domain.grid is None:
+        raise ValueError("bench runs on grid domains only")
+    return domain.grid
+
+
 class BenchCase(NamedTuple):
     truth: ScalarField
     sample_verts: np.ndarray
@@ -133,9 +141,10 @@ def make_case(name: str, domain: Domain, seed: int, trial: int,
               count: int) -> BenchCase:
     """Deterministically generate one trial's truth surface and samples on a
     :func:`build_grid` domain."""
+    grid = _grid(domain)
     rng = np.random.default_rng([seed, trial, GENERATORS.index(name)])
     truth = ScalarField(domain=domain, values=_truth_values(name, domain, rng))
-    verts = _sample_vertices(name, domain.grid, rng, count, trial)
+    verts = _sample_vertices(name, grid, rng, count, trial)
     vmap = {int(v): float(truth.values[v]) for v in verts}
     points = SamplePoints(xy=domain.coords[verts],
                           values=truth.values[verts])
@@ -196,14 +205,21 @@ def run_bench(dom, generators, methods, trials: int, count: int,
               verbose: bool = True) -> list[BenchRow]:
     """Run every (trial, generator, method) combination on one grid, a
     GridSpec or a :func:`build_grid` Domain, each through
-    :func:`fit_method` with its defaults for the options not passed.
+    :func:`fit_method` with its defaults for the options not passed.  A
+    failed fit becomes a row; a domain without a grid, or a bad ``iters``,
+    ``tol`` or ``power`` for a method run, raises ValueError up front.
 
     Prints nothing: ``verbose`` is ignored, and stays in the signature
     only because the acceptance test of criterion C8 passes it.
     """
     trials, count = _count(trials, "trials"), _count(count, "sample count")
     domain = _as_domain(dom)
-    grid = domain.grid
+    grid = _grid(domain)
+    # Bad options of a method to run fail here, with fit's messages, not per row.
+    if "harmonic" in methods:
+        _relax_options(iters, tol)
+    if "shepard" in methods:
+        ShepardConfig(power=power)
     weight = GaussianWeight(scale=max(grid.width, grid.height) * grid.spacing / 4)
     rows: list[BenchRow] = []
     for trial in range(trials):

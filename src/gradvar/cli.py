@@ -220,8 +220,6 @@ def _pick(text: str, choices: tuple[str, ...], what: str) -> tuple[str, ...]:
 
 def cmd_bench(args) -> int:
     domain = _resolve_domain(args)
-    if domain.grid is None:
-        raise ValueError("bench runs on grid domains; pass --grid WxH")
     gens = _pick(args.generator, GENERATORS, "generator")
     methods = _pick(args.method, METHODS, "method")
     rows = run_bench(domain, gens, methods, trials=args.trials, count=args.points,

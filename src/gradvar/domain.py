@@ -8,6 +8,8 @@ physical grid spacing only enters derivative stencils and rendering.
 
 from __future__ import annotations
 
+import io
+import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -238,34 +240,18 @@ def _record_line(path, n: int, kind: str | None = None) -> int:
 _PLAIN = bytes(range(0x21, 0x7F)).translate(None, b"#/")
 
 
-def _table(text: bytes, widths: tuple[int, ...],
-           kind: bytes | None = None) -> tuple[list[bytes], int] | None:
-    """(tokens, width) of ``text``: its whitespace-split tokens, if it holds
-    only :data:`_PLAIN` bytes, spaces, tabs and newlines, and every non-blank
-    line holds one ``width`` in ``widths`` of them after a first token
-    ``kind``, if given, which is dropped.  Else None."""
-    if text.translate(None, _PLAIN + b" \t\n"):
-        return None
-    b = np.frombuffer(text, dtype=np.uint8)
-    blank = np.concatenate([[True], b <= 0x20])   # a blank before the first byte
-    starts = np.flatnonzero(blank[:-1] > blank[1:])
-    # Tokens per line: token starts before each line end, differenced.
-    ends = np.append(np.flatnonzero(b == 0x0A), len(b))
-    per_line = np.diff(np.searchsorted(starts, ends), prepend=0)
-    del blank, starts
-    per_line = per_line[per_line > 0]
-    if per_line.size == 0 or (per_line != per_line[0]).any():
-        return None
-    width, rows = int(per_line[0]), len(per_line)
-    if width - (kind is not None) not in widths:
-        return None
-    tokens = text.split()
-    if kind is not None:
-        if tokens[::width].count(kind) != rows:
+def _loadtxt(src, dtype, delimiter=None) -> np.ndarray | None:
+    """The rows of ``src`` (lines, no comments) in the structured ``dtype``,
+    by numpy's C text reader; None if it raises or warns: on a field that
+    does not parse, a wrong column count, no rows, or an integer read
+    through a float (a deprecation on numpy 1.x)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(src, dtype=dtype, delimiter=delimiter,
+                              comments=None, ndmin=1)
+        except (ValueError, Warning):
             return None
-        del tokens[::width]
-        width -= 1
-    return tokens, width
 
 
 def _mesh_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,36 +289,27 @@ def _mesh_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array(sizes, dtype=np.int64))
 
 
-def _parse(tokens: list[bytes], kind: type) -> np.ndarray | None:
-    """``kind`` (int or float) of every token, as an array of that kind;
-    None once a token is one ``kind()`` rejects, or past int64."""
-    try:
-        return np.fromiter(map(kind, tokens), kind, len(tokens))
-    except (ValueError, OverflowError):
-        return None
-
-
 def _mesh_bulk(path) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """What :func:`_mesh_records` returns, read as whole arrays, for a plain
-    OBJ file of ``v`` lines and then ``f`` lines of one width; else None."""
+    OBJ file of ``v`` lines and then ``f`` lines of one width; else None.
+    The kind column is 2 bytes wide, so that ``vn``, ``fo`` or any longer
+    kind differs from a bare ``v`` or ``f``."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if data.translate(None, _PLAIN + b" \t\n"):
+        return None
     cut = data.find(b"\nf") + 1
-    # One section at a time, so that only one token list is alive.
-    head, tail = data[:cut], data[cut:]
+    head, tail = io.BytesIO(data[:cut]), io.BytesIO(data[cut:])
     del data
-    table = _table(head, (3,), b"v")
-    del head
-    xyz = table and _parse(table[0], float)
-    del table
-    if xyz is None:
+    verts = _loadtxt(head, [("kind", "S2"), ("xyz", "f8", 3)])
+    width = len(tail.readline().split()) - 1
+    if verts is None or (verts["kind"] != b"v").any() or width not in (3, 4):
         return None
-    table = _table(tail, (3, 4), b"f")
-    del tail
-    ids = table and _parse(table[0], int)
-    if ids is None:
+    tail.seek(0)
+    faces = _loadtxt(tail, [("kind", "S2"), ("ids", "i8", width)])
+    if faces is None or (faces["kind"] != b"f").any():
         return None
-    return xyz.reshape(-1, 3), ids, np.full(len(ids) // table[1], table[1])
+    return verts["xyz"].copy(), faces["ids"].ravel(), np.full(len(faces), width)
 
 
 def load_mesh(path) -> Domain:

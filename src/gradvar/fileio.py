@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Domain, _ids, _parse, _record_line, _records, _table
+from .domain import Domain, _ids, _loadtxt, _record_line, _records
 from .gvf import LevelField, to_scalar
 
 
@@ -205,23 +205,17 @@ def _field_records(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _field_bulk(path) -> tuple[np.ndarray, np.ndarray | None] | None:
     """What :func:`_field_records` returns, read as whole arrays, for a plain
-    field CSV: an exact header, no spaces or tabs, one width, no empty field
-    and the vertices 0..N-1 in order; else None."""
-    with open(path, "rb") as fh:
-        header, _, body = fh.read().partition(b"\n")
-    width = {b"vertex,value": 2, b"vertex,index,value": 3}.get(header)
-    if width is None or b" " in body or b"\t" in body:
+    field CSV: an exact header, rows of its width that numpy parses, and the
+    vertices 0..N-1 in order; else None."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if header not in ("vertex,value\n", "vertex,index,value\n"):
+            return None
+        rows = _loadtxt(fh, [(name, "f8" if name == "value" else "i8")
+                             for name in header.rstrip().split(",")], ",")
+    if rows is None or (rows["vertex"] != np.arange(len(rows))).any():
         return None
-    # With commas the only separators, w-wide rows that hold w - 1 commas
-    # each have no empty field.
-    table = _table(body.replace(b",", b" "), (width,))
-    if not table or body.count(b",") != len(table[0]) // width * (width - 1):
-        return None
-    cols = [_parse(table[0][c::width], int if c < width - 1 else float)
-            for c in range(width)]
-    if any(c is None for c in cols) or (cols[0] != np.arange(len(cols[0]))).any():
-        return None
-    return cols[-1], cols[1] if width == 3 else None
+    return rows["value"].copy(), rows["index"].copy() if "index" in header else None
 
 
 def read_field_csv(path) -> FieldCsv:

@@ -75,6 +75,16 @@ def _neighbor_sums(domain: Domain, values: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
+def _relax_options(max_iter, tol) -> int:
+    """``max_iter`` as an int, once it is a whole number >= 0 and ``tol``
+    is nonnegative: the checks of :func:`harmonic_relax`, which a benchmark
+    also runs before its first trial."""
+    max_iter = _count(max_iter, "max_iter", 0)
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
+    return max_iter
+
+
 def harmonic_relax(field: ScalarField, fixed: Mapping[int, float],
                    max_iter: int = 100, tol: float = 1e-9,
                    ) -> tuple[ScalarField, RelaxReport]:
@@ -90,9 +100,7 @@ def harmonic_relax(field: ScalarField, fixed: Mapping[int, float],
     """
     domain = field.domain
     fixed_verts, fixed_vals = _sample_arrays(domain, fixed, "fixed")
-    max_iter = _count(max_iter, "max_iter", 0)
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
+    max_iter = _relax_options(max_iter, tol)
 
     free = np.ones(domain.vertex_count, dtype=bool)
     free[fixed_verts] = False

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gradvar import (GaussianWeight, GridSpec, MlsConfig, ShepardConfig,
-                     build_grid, compute_metrics, evaluate_on_domain, fit_gvf,
-                     harmonic_relax, smooth_reconstruct, to_scalar)
+                     build_graph, build_grid, compute_metrics, evaluate_on_domain,
+                     fit_gvf, harmonic_relax, smooth_reconstruct, to_scalar)
 from gradvar.bench import (GENERATORS, METHODS, fit_method, gvf_error_bound,
                            make_case, run_bench)
 from gradvar.cli import main
@@ -137,3 +137,12 @@ class TestFitMethod:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method 'rbf'"):
             fit_method("rbf", build_grid(GridSpec(2, 2)), {0: 0.0}, self._unused)
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: run_bench(d, ("affine",), ("gvf",), 1, 2, 0),
+    lambda d: make_case("affine", d, 0, 0, 2),
+], ids=["run_bench", "make_case"])
+def test_non_grid_domain_raises_value_error(call):
+    with pytest.raises(ValueError, match="bench runs on grid domains only"):
+        call(build_graph([(0, 1), (1, 2)], 3))

@@ -3,6 +3,7 @@ readers: same arrays or the same error on any file, the fast path taken on
 the files this package writes, and no higher memory peak."""
 
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -145,13 +146,71 @@ def test_bulk_reader_matches_line_reader(tmp_path_factory, reader, files, data):
     ("mesh", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 3 1\n"),
     ("mesh", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n  f 3 2 1\n"),
     ("mesh", "v 0 0 0\r\nv 1 0 0\r\nv 0 1 0\r\nf 1 2 3\r\n"),
+    # Where numpy's parsers and Python's int() and float() could disagree.
+    ("field", "vertex,value\n0,1.5\n1.0,2.5\n"),
+    ("field", "vertex,value\n0,1.5\n1e0,2.5\n"),
+    ("field", "vertex,index,value\n0,1.0,1.5\n"),
+    ("field", "vertex,index,value\n0,1e0,1.5\n"),
+    ("mesh", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1.0 2 3\n"),
+    ("mesh", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 1e0\n"),
+    ("field", "vertex,index,value\n0,1_0,1.5\n"),
+    ("field", "vertex,value\n0,1_0\n"),
+    ("mesh", "v 0 0 0\nv 1_0 0 0\nv 0 1 0\nf 1 2 3\n"),
+    ("field", "vertex,index,value\n0,0x10,1.5\n"),
+    ("field", "vertex,value\n0,0x10\n"),
+    ("field", "vertex,index,value\n0,1,1.5\n1,99999999999999999999,2.5\n"),
+    ("field", "vertex,value\n0,1.5\n1,nan\n"),
+    ("field", "vertex,value\n0,-inf\n"),
+    ("field", "vertex,index,value\n0,1,1e400\n"),
+    ("mesh", "v 0 0 0\nvn 0 0 1\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"),
+    ("field", "vertex,value\r\n0,1.5\n1,2.5\n"),
+    ("field", "vertex,value\n0,1.5\n \t \n"),
+    ("mesh", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n  \n"),
 ], ids=["empty-field", "empty-fields-indexed", "trailing-comma", "rows-2-3-1",
         "gap", "crlf", "coordinate-on-next-line", "vertex-after-face", "vn-record",
-        "mixed-widths", "indented-face", "mesh-crlf"])
+        "mixed-widths", "indented-face", "mesh-crlf",
+        "vertex-1.0", "vertex-1e0", "index-1.0", "index-1e0", "corner-1.0",
+        "corner-1e0", "index-underscore", "value-underscore",
+        "coordinate-underscore", "index-hex", "value-hex", "index-20-digits",
+        "value-nan", "value-minus-inf", "value-1e400", "vn-between-vertices",
+        "header-crlf", "field-trailing-blank", "mesh-trailing-blank"])
 def test_bulk_reader_matches_line_reader_on_edge_cases(tmp_path, reader, body):
     path = tmp_path / "in.txt"
     path.write_bytes(body.encode())
     _assert_paths_agree(reader, path)
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+@pytest.mark.parametrize("reader,body,want", [
+    ("field", "vertex,value\n", [b"", None]),
+    ("field", "vertex,index,value\n\n", [b"", b""]),
+    ("mesh", "v 0 0 0\nv 1 0 0\n",
+     [np.array([[0.0, 0.0], [1.0, 0.0]]).tobytes(), bytes(24), b""]),
+], ids=["header-only", "blank-body", "vertices-only"])
+def test_no_warning_escapes_a_reader(tmp_path, reader, body, want, action):
+    # numpy's reader warns on an input with no rows; these files have none
+    # past the header or before the first face.
+    path = tmp_path / "in.txt"
+    path.write_bytes(body.encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert _outcome(READERS[reader][0], path) == want
+    assert not caught
+
+
+def test_an_integer_read_through_a_float_takes_the_line_reader(tmp_path, monkeypatch):
+    # numpy 1.x reads "1.0" into an int64 column with a DeprecationWarning
+    # where numpy 2 raises; either way the line reader names the line.
+    def numpy1_loadtxt(src, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.array([(0, 1.5), (1, 2.5)], dtype=dtype)
+
+    monkeypatch.setattr(np, "loadtxt", numpy1_loadtxt)
+    path = tmp_path / "in.csv"
+    path.write_text("vertex,value\n0,1.5\n1.0,2.5\n")
+    with pytest.raises(ValueError, match="line 3: non-numeric entry"):
+        read_field_csv(path)
 
 
 def _no_line_reader(*_):
@@ -221,3 +280,15 @@ def test_bulk_mesh_read_peaks_no_higher_than_the_line_reader(tmp_path):
     whole = _peak(lambda: load_mesh(p))
     with mock.patch.object(domain, "_mesh_bulk", lambda path: None):
         assert whole <= _peak(lambda: load_mesh(p))
+
+
+def test_bulk_field_read_peaks_no_higher_than_the_line_reader(tmp_path):
+    grid = build_grid(GridSpec(128, 128))
+    idx = np.arange(grid.vertex_count) % 128 // 4 + 1
+    table = LevelTable(base=-1.5, delta=0.1, count=32)
+    p = tmp_path / "l.csv"
+    write_level_csv(p, LevelField(domain=grid, idx=idx, table=table))
+    assert fileio._field_bulk(p) is not None
+    whole = _peak(lambda: read_field_csv(p))
+    with mock.patch.object(fileio, "_field_bulk", lambda path: None):
+        assert whole <= _peak(lambda: read_field_csv(p))

@@ -524,6 +524,31 @@ class TestBench:
         assert rc == 1
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method,flags", [
+        ("harmonic", ["--iters", "-1"]),
+        ("harmonic", ["--tol", "nan"]),
+        ("shepard", ["--power", "0"]),
+    ], ids=["iters", "tol", "power"])
+    def test_checks_method_options_as_fit_does(self, tmp_path, capsys,
+                                               corner_samples, method, flags):
+        assert main(grid_args(corner_samples, tmp_path / "fit", "--method",
+                              method, *flags)) == 1
+        fit_error = capsys.readouterr().err
+        out = tmp_path / "bench"
+        rc = main(["bench", "--grid", "8x8", "--method", method, *flags,
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == fit_error
+        assert not out.exists()
+
+    def test_leaves_options_of_other_methods_unchecked(self, tmp_path):
+        rc = main(["bench", "--grid", "8x8", "--method", "gvf,mls", "--trials", "1",
+                   "--iters", "-1", "--tol", "nan", "--power", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "bench.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",") for row in rows)
+
     def test_builds_the_grid_once(self, tmp_path, monkeypatch):
         import sys
         import gradvar.domain
