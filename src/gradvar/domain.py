@@ -401,39 +401,51 @@ def _multi_source_hops(domain: Domain, vertices: np.ndarray) -> np.ndarray:
     seen, and records the level at which each listed vertex first gains
     each bit.  A block stops when every listed vertex holds every bit, or
     when the frontier is empty.
+
+    The pull reads a padded neighbor table (ELL; Bell & Garland, SC 2009):
+    slot j of vertex v holds v's j-th neighbor or the sentinel n, whose word
+    is always 0.  The width is the largest degree capped at twice the mean,
+    and neighbors past it form a tail that ORs in by ``reduceat``.
     """
-    k = len(vertices)
+    n, k = domain.vertex_count, len(vertices)
     out = np.full((k, k), UNREACHABLE, dtype=np.int64)
-    # reduceat over the vertices that have neighbors only: an empty segment
-    # would yield the next vertex's first word, and a start index equal to
-    # the array length is an error.
-    offsets = domain._offsets
-    owners = np.nonzero(offsets[1:] > offsets[:-1])[0]
-    starts = offsets[owners]
-    targets = domain._dir_dst
+    offsets, targets = domain._offsets, domain._dir_dst
+    degrees = domain.degrees
+    width = int(min(degrees.max(), 2 * -(-len(targets) // n)))
+    slot = np.arange(len(targets)) - np.repeat(offsets[:-1], degrees)
+    table = np.full((width, n), n, dtype=np.intp)
+    head = slot < width
+    table[slot[head], domain._dir_src[head]] = targets[head]
+    # reduceat over the vertices with tail edges only: no empty segments.
+    excess = np.maximum(degrees - width, 0)
+    owners = np.nonzero(excess)[0]
+    starts = np.cumsum(excess[owners]) - excess[owners]
+    tail = targets[~head]
     one = np.uint64(1)
+    frontier = np.zeros(n + 1, dtype=np.uint64)   # word n: the sentinel
+    live = frontier[:n]
     for lo in range(0, k, 64):
         # uint64 shift counts: numpy 2 turns uint64 << int64 into float64.
         shifts = np.arange(min(64, k - lo), dtype=np.uint64)
         bits = one << shifts
         full = np.bitwise_or.reduce(bits)
-        seen = np.zeros(domain.vertex_count, dtype=np.uint64)
+        seen = np.zeros(n, dtype=np.uint64)
         np.bitwise_or.at(seen, vertices[lo:lo + 64], bits)
-        frontier, level = seen.copy(), 0
+        live[:], level = seen, 0
         while True:
-            gained = frontier[vertices]
+            gained = live[vertices]
             rows, cols = np.nonzero((gained[:, None] >> shifts) & one)
             out[rows, lo + cols] = level
             if (seen[vertices] == full).all():
                 break
-            pulled = np.zeros_like(seen)
-            if starts.size:
-                pulled[owners] = np.bitwise_or.reduceat(
-                    np.take(frontier, targets), starts)
-            frontier = pulled & ~seen
-            if not frontier.any():
+            pulled = np.bitwise_or.reduce(np.take(frontier, table), axis=0)
+            if owners.size:
+                pulled[owners] |= np.bitwise_or.reduceat(
+                    np.take(frontier, tail), starts)
+            np.bitwise_and(pulled, ~seen, out=live)
+            if not live.any():
                 break
-            seen |= frontier
+            seen |= live
             level += 1
     return out
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +11,7 @@ from gradvar import (UNREACHABLE, GridSpec, GuidingSet, InfeasibleError,
                      to_scalar)
 
 from gradvar import gvf
+from gradvar.domain import _multi_source_hops
 from gradvar.gvf import _pair_distances
 
 from checks import (component_graph, gradual_variation_ok, guiding_set,
@@ -486,6 +489,14 @@ def sweep_graph(kind, rng):
         return path_domain(140)
     if kind == "components":
         return component_graph(rng, [60, 45, 30, 1, 1])[0]
+    if kind == "hub":
+        # Random edges among 0..99; hub 0 also holds leaves 100..139 and hub
+        # 1 leaves 140..149, both past the neighbor table's capped width, so
+        # they pull through the tail.  150..159 have no neighbor.
+        edges = rng.integers(0, 100, size=(200, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]].tolist()
+        edges += [(0, v) for v in range(100, 140)] + [(1, v) for v in range(140, 150)]
+        return build_graph(edges, 160)
     # Random edges among the first vertices; the last ones have no neighbor,
     # and neither do a few in between.
     n, isolated = 160, 12
@@ -499,7 +510,8 @@ class TestMultiSourceSweep:
     vertices; they must equal a queue BFS per vertex."""
 
     @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 130])
-    @pytest.mark.parametrize("kind", ["random", "components", "no-edges", "path"])
+    @pytest.mark.parametrize("kind", ["random", "components", "no-edges", "path",
+                                      "hub"])
     def test_matches_python_bfs(self, kind, k):
         rng = np.random.default_rng([k, len(kind)])
         d = sweep_graph(kind, rng)
@@ -508,6 +520,37 @@ class TestMultiSourceSweep:
         got = _pair_distances(d, verts)
         assert got.dtype == np.int64
         assert got.tolist() == bfs_matrix(d, verts.tolist())
+
+    @pytest.mark.parametrize("k", [64, 65, 130])
+    def test_hubs_past_the_table_width(self, k):
+        # Both hubs, an isolated vertex (a column of sentinels only) and
+        # leaves reachable from the other samples only through a hub's tail.
+        rng = np.random.default_rng(k)
+        d = sweep_graph("hub", rng)
+        width = 2 * -(-len(d.directed_pairs()[0]) // d.vertex_count)
+        assert d.degrees[1] > width
+        verts = np.concatenate([[155, 0, 1, 139, 149],
+                                rng.permutation(np.arange(2, 139))[:k - 5]])
+        assert _pair_distances(d, verts).tolist() == bfs_matrix(d, verts.tolist())
+
+    def test_mesh_matches_python_bfs(self, tmp_path):
+        d = mesh_domain(tmp_path, np.random.default_rng(5), w=12, h=11)
+        verts = np.random.default_rng(6).permutation(d.vertex_count)[:130]
+        assert _pair_distances(d, verts).tolist() == bfs_matrix(d, verts.tolist())
+
+    def test_star_table_width_is_capped(self):
+        # A full-width table would be 3000 x 2999 words, about 72 MB.
+        d = build_graph([(0, v) for v in range(1, 3000)], 3000)
+        verts = np.arange(0, 3000, 40, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            got = _multi_source_hops(d, verts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert got.tolist() == [[0 if a == b else (1 if 0 in (a, b) else 2)
+                                 for b in verts] for a in verts]
 
     def test_last_vertex_with_edges_before_isolated_ones(self):
         # Vertex 3's neighbor list ends the adjacency; 4 and 5 have none.
