@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Domain, _freeze
+from .domain import Domain, _freeze, _mean_by_key
 from .fields import ScalarField
 
 
@@ -47,10 +47,7 @@ class SamplePoints:
         pts = np.asarray(list(points), dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
             raise ValueError("points must be a nonempty list of (x, y, value)")
-        uniq, inverse = np.unique(pts[:, :2], axis=0, return_inverse=True)
-        sums = np.bincount(inverse, weights=pts[:, 2], minlength=len(uniq))
-        counts = np.bincount(inverse, minlength=len(uniq))
-        return cls(xy=uniq, values=sums / counts)
+        return cls(*_mean_by_key(pts[:, :2], pts[:, 2]))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -129,23 +126,12 @@ class ShepardConfig:
     power: float = 2.0
 
     def __post_init__(self):
-        if not self.power > 0:
-            raise ValueError("power must be positive")
+        if not 0 < self.power < math.inf:
+            raise ValueError("power must be positive and finite")
 
 
 class MlsResult(NamedTuple):
-    """Fitted value plus rank diagnostics.
-
-    fallback is True when the weighted system did not determine all
-    basis coefficients (rank < basis size); the undetermined directions
-    are dropped (minimum-norm solution), which reduces the effective
-    fitted degree along them.
-    """
-
     value: float
-    fallback: bool
-    rank: int
-    basis_size: int
 
 
 def _basis(u: np.ndarray, degree: int) -> np.ndarray:
@@ -288,10 +274,8 @@ def mls_fit(query, samples: SamplePoints, config: MlsConfig) -> MlsResult:
     (e.g. zero-distance under an epsilon-free inverse power weight), the
     fit restricts to those dominating samples.
     """
-    value, rank = _mls_rows(_query_rows(query), samples, config)
-    size = _basis_size(config.degree)
-    return MlsResult(value=float(value[0]), fallback=bool(rank[0] < size),
-                     rank=int(rank[0]), basis_size=size)
+    value, _ = _mls_rows(_query_rows(query), samples, config)
+    return MlsResult(value=float(value[0]))
 
 
 def shepard(query, samples: SamplePoints, power: float = 2.0) -> float:
@@ -301,8 +285,7 @@ def shepard(query, samples: SamplePoints, power: float = 2.0) -> float:
     that site's value.  Always lands inside [min, max] of the values
     (convex combination).
     """
-    if not power > 0:
-        raise ValueError("power must be positive")
+    power = ShepardConfig(power=power).power
     return float(_shepard_rows(_query_rows(query), samples, power)[0])
 
 

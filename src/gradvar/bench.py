@@ -42,7 +42,8 @@ def fit_method(method: str, domain: Domain, samples, points, *,
                power: float = 2.0) -> MethodFit:
     """Run one of METHODS on vertex -> value ``samples``, for `fit` and `bench`.
 
-    Only mls and shepard call ``points()``, for the SamplePoints they fit.
+    Only mls and shepard call ``points()``, for the SamplePoints they fit,
+    and only they do not read ``samples``.
     gvf and harmonic's gvf start read ``delta`` (None: automatic) and
     ``policy``; ``order`` is smooth's order and mls's degree.  The report
     holds gvf's ``delta``, harmonic's ``iterations_run``, ``final_residual``
@@ -89,13 +90,12 @@ def _truth_values(name: str, domain: Domain, rng: np.random.Generator) -> np.nda
         amp = rng.uniform(1.0, 3.0)
         off = rng.uniform(-1.0, 1.0)
         return amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * sigma ** 2)) + off
-    if name == "sinusoid":
-        kx = rng.uniform(0.5, 1.5) * 2 * np.pi / ex
-        ky = rng.uniform(0.5, 1.5) * 2 * np.pi / ey
-        phase = rng.uniform(0, 2 * np.pi)
-        amp = rng.uniform(1.0, 2.0)
-        return amp * np.sin(kx * x + ky * y + phase)
-    raise ValueError(f"unknown generator {name!r}; choose from {GENERATORS}")
+    # "sinusoid", the one name left: make_case rejects any other.
+    kx = rng.uniform(0.5, 1.5) * 2 * np.pi / ex
+    ky = rng.uniform(0.5, 1.5) * 2 * np.pi / ey
+    phase = rng.uniform(0, 2 * np.pi)
+    amp = rng.uniform(1.0, 2.0)
+    return amp * np.sin(kx * x + ky * y + phase)
 
 
 def _sample_vertices(name: str, grid: GridSpec, rng: np.random.Generator,
@@ -142,6 +142,8 @@ def make_case(name: str, domain: Domain, seed: int, trial: int,
     """Deterministically generate one trial's truth surface and samples on a
     :func:`build_grid` domain."""
     grid = _grid(domain)
+    if name not in GENERATORS:
+        raise ValueError(f"unknown generator {name!r}; choose from {GENERATORS}")
     rng = np.random.default_rng([seed, trial, GENERATORS.index(name)])
     truth = ScalarField(domain=domain, values=_truth_values(name, domain, rng))
     verts = _sample_vertices(name, grid, rng, count, trial)

@@ -96,7 +96,7 @@ def _parse_delta(text: str) -> float | None:
 
 def _parse_weight(text: str):
     """gaussian[:scale] or invpow:power[,epsilon]."""
-    name, _, rest = text.partition(":")
+    name, colon, rest = text.partition(":")
     weights = {"gaussian": (GaussianWeight, 1), "invpow": (InversePowerWeight, 2)}
     if name not in weights:
         raise ValueError(f"unknown weight {text!r}; use gaussian[:scale] or "
@@ -104,7 +104,7 @@ def _parse_weight(text: str):
     if name == "invpow" and not rest:
         raise ValueError("invpow weight needs a power, e.g. invpow:2")
     weight, most = weights[name]
-    parts = rest.split(",") if rest else []
+    parts = rest.split(",") if colon else []
     if len(parts) > most:
         raise ValueError(f"--weight {name} takes at most {most} number(s), "
                          f"got {text!r}")
@@ -163,7 +163,8 @@ def _write_renders(field: ScalarField, out: str) -> list[str]:
 def cmd_fit(args) -> int:
     domain = _resolve_domain(args)
     parsed = read_samples_csv(args.samples)
-    vmap = snap_to_vertices(parsed, domain)
+    # mls and shepard fit each row at its own coordinates; the rest snap.
+    vmap = None if args.method in ("mls", "shepard") else snap_to_vertices(parsed, domain)
     delta = _parse_delta(args.delta)
     weight = _parse_weight(args.weight)
     truth = None

@@ -58,6 +58,14 @@ def _count(value, what: str, floor: int = 1) -> int:
     return int(value)
 
 
+def _mean_by_key(keys: np.ndarray, values: np.ndarray):
+    """(the distinct keys, or rows of a 2-d ``keys``, in sorted order; the
+    mean of ``values`` over each, as sum / count)."""
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.bincount(inverse, weights=values, minlength=len(uniq))
+    return uniq, sums / np.bincount(inverse, minlength=len(uniq))
+
+
 def _freeze(obj, name: str, dtype, what: str = "") -> np.ndarray:
     """Replace ``obj.<name>`` by a read-only ``dtype`` copy and return it; an
     int64 field must pass :func:`_ids`, named ``what`` or else ``name``."""
@@ -122,6 +130,8 @@ class Domain:
         self.coords = coords
         if coords is not None and _freeze(self, "coords", np.float64).shape != (n, 2):
             raise ValueError("coords must be one (x, y) pair per vertex")
+        if coords is not None and not np.isfinite(self.coords).all():
+            raise ValueError("vertex coordinates must be finite")
         for arr in (self._offsets, self._dir_src, self._dir_dst):
             arr.setflags(write=False)
 
@@ -193,8 +203,9 @@ def build_grid(spec: GridSpec) -> Domain:
     """
     w, h = spec.width, spec.height
     idx = np.arange(w * h, dtype=np.int64).reshape(h, w)
-    # (x, y) is (column, row) times the spacing.
-    coords = np.stack(np.divmod(idx.ravel(), w)[::-1], axis=1) * spec.spacing
+    # (x, y) is (column, row) times the spacing; Domain rejects an overflow.
+    with np.errstate(over="ignore"):
+        coords = np.stack(np.divmod(idx.ravel(), w)[::-1], axis=1) * spec.spacing
     parts = [
         np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1),
         np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1),
@@ -354,8 +365,6 @@ def _gather_neighbors(offsets: np.ndarray, targets: np.ndarray,
     starts = offsets[frontier]
     counts = offsets[frontier + 1] - starts
     total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=targets.dtype)
     shift = np.cumsum(counts) - counts
     idx = np.repeat(starts - shift, counts) + np.arange(total)
     return targets[idx]
@@ -384,9 +393,8 @@ def min_offset_sweep(domain: Domain, seed_vertices: np.ndarray,
         frontier = np.nonzero(open_mask & (dist == level))[0]
         finalized[frontier] = True
         neigh = _gather_neighbors(offsets, targets, frontier)
-        if neigh.size:
-            relax = neigh[dist[neigh] > level + 1]
-            dist[relax] = level + 1
+        relax = neigh[dist[neigh] > level + 1]
+        dist[relax] = level + 1
     return dist
 
 

@@ -26,6 +26,3 @@ class ScalarField:
             raise ValueError("field length must equal the domain vertex count")
         if not np.isfinite(v).all():
             raise ValueError("field values must all be finite")
-
-    def __len__(self) -> int:
-        return len(self.values)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Domain, _ids, _loadtxt, _record_line, _records
+from .domain import Domain, _ids, _loadtxt, _mean_by_key, _record_line, _records
 from .gvf import LevelField, to_scalar
 
 
@@ -92,8 +92,10 @@ def snap_to_vertices(parsed: ParsedSamples, domain: Domain) -> dict[int, float]:
 
     `x,y,value` rows snap to the nearest vertex of the domain's grid (ties
     toward the larger row/column), so they need a :func:`build_grid`
-    domain; rows landing on the same vertex merge by mean with a warning.
-    `vertex,value` rows resolve directly on any domain.
+    domain; rows landing on the same vertex merge by mean (sum / count, as
+    :meth:`SamplePoints.from_points` merges) with a warning.
+    `vertex,value` rows resolve directly on any domain.  The map's keys run
+    in vertex order.
     """
     grid = domain.grid
     if parsed.kind == "xy":
@@ -108,16 +110,12 @@ def snap_to_vertices(parsed: ParsedSamples, domain: Domain) -> dict[int, float]:
     else:
         verts = _ids(parsed.rows[:, 0], "sample vertex ids", domain.vertex_count)
         values = parsed.rows[:, 1]
-    out: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for v, val in zip(verts.tolist(), values.tolist()):
-        counts[v] = counts.get(v, 0) + 1
-        out[v] = out[v] + (val - out[v]) / counts[v] if v in out else val
-    if len(out) < len(verts):
+    merged, means = _mean_by_key(verts, values)
+    if len(merged) < len(verts):
         warnings.warn(
-            f"{len(verts) - len(out)} sample row(s) landed on already-occupied "
+            f"{len(verts) - len(merged)} sample row(s) landed on already-occupied "
             f"vertices; merged by mean", stacklevel=2)
-    return out
+    return dict(zip(merged.tolist(), means.tolist()))
 
 
 def sample_coords(parsed: ParsedSamples, domain: Domain) -> np.ndarray:

@@ -310,18 +310,16 @@ def check_feasibility(domain: Domain, guiding: GuidingSet) -> FeasibilityCheck:
     split = _component_witness(domain, verts, guiding.indices)
     if split is not None:
         return FeasibilityCheck(False, split)
-    if len(verts) == 1:
-        return FeasibilityCheck(True, None)
     iu = np.triu_indices(len(verts), k=1)
     d = pairs[iu]
     gap = np.abs(guiding.indices[iu[0]] - guiding.indices[iu[1]])
     violation = gap - d
+    if not (violation > 0).any():
+        return FeasibilityCheck(True, None)
     worst = int(np.argmax(violation))
-    if violation[worst] > 0:
-        a, b = int(iu[0][worst]), int(iu[1][worst])
-        return FeasibilityCheck(False, Witness(
-            int(verts[a]), int(verts[b]), int(d[worst]), int(gap[worst])))
-    return FeasibilityCheck(True, None)
+    a, b = int(iu[0][worst]), int(iu[1][worst])
+    return FeasibilityCheck(False, Witness(
+        int(verts[a]), int(verts[b]), int(d[worst]), int(gap[worst])))
 
 
 def envelopes(domain: Domain, guiding: GuidingSet, n: int) -> EnvelopePair:

@@ -77,11 +77,11 @@ def _neighbor_sums(domain: Domain, values: np.ndarray) -> np.ndarray:
 
 def _relax_options(max_iter, tol) -> int:
     """``max_iter`` as an int, once it is a whole number >= 0 and ``tol``
-    is nonnegative: the checks of :func:`harmonic_relax`, which a benchmark
-    also runs before its first trial."""
+    is nonnegative and finite: the checks of :func:`harmonic_relax`, which
+    a benchmark also runs before its first trial."""
     max_iter = _count(max_iter, "max_iter", 0)
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be nonnegative and finite")
     return max_iter
 
 
@@ -92,10 +92,10 @@ def harmonic_relax(field: ScalarField, fixed: Mapping[int, float],
 
     Conjugate gradients on the Dirichlet Laplacian, preconditioned by the
     vertex degree, solve for every free vertex that a fixed vertex reaches;
-    other free vertices keep their start values.  Stops after max_iter
-    iterations, on breakdown, or once every solved vertex is within tol of
-    its neighbors' mean as checked on the field itself (else the solve
-    restarts from it).  Solved values are clipped into [min, max] of the
+    other free vertices, isolated ones included, keep their start values.
+    Stops after max_iter iterations, on breakdown, or once every solved
+    vertex is within tol of its neighbors' mean as checked on the field
+    itself (else the solve restarts from it).  Solved values are clipped into [min, max] of the
     fixed values and the start's free values, which holds the exact solution.
     """
     domain = field.domain
@@ -104,16 +104,11 @@ def harmonic_relax(field: ScalarField, fixed: Mapping[int, float],
 
     free = np.ones(domain.vertex_count, dtype=bool)
     free[fixed_verts] = False
-    degrees = domain.degrees
-    if (degrees[free] == 0).any():
-        v = int(np.nonzero(free & (degrees == 0))[0][0])
-        raise ValueError(f"free vertex {v} has no neighbors; its mean is undefined")
-
     values = np.array(field.values, dtype=np.float64)
     box = np.concatenate([fixed_vals, values[free]])
     values[fixed_verts] = fixed_vals
     solve = free & (bfs_distances(domain, fixed_verts) != UNREACHABLE)
-    deg = np.where(solve, degrees, 1).astype(np.float64)
+    deg = np.where(solve, domain.degrees, 1).astype(np.float64)
 
     def laplacian(x):
         return np.where(solve, deg * x - _neighbor_sums(domain, x), 0.0)

@@ -8,11 +8,19 @@ from gradvar import (GaussianWeight, GridSpec, InversePowerWeight, MlsConfig,
                      SamplePoints, ShepardConfig, build_graph, build_grid,
                      evaluate_on_domain, mls_fit, shepard)
 from gradvar import baselines
-from gradvar.baselines import _CHUNK_CELLS
+from gradvar.baselines import _CHUNK_CELLS, _basis_size
 
 from checks import oracle_mls, oracle_shepard
 
 finite = st.floats(-50, 50, allow_nan=False)
+
+
+def mls_rank(query, samples, config):
+    """(rank, basis size) of the weighted MLS system at one query, which
+    mls_fit does not report; rank < basis size is a rank fallback."""
+    _, rank = baselines._mls_rows(np.array([query], dtype=np.float64),
+                                  samples, config)
+    return int(rank[0]), _basis_size(config.degree)
 
 
 def plane_samples(a=2.0, b=3.0, c=1.0):
@@ -38,8 +46,15 @@ class TestSamplePoints:
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
             SamplePoints.from_points([])
+        with pytest.raises(ValueError, match="sample set must be nonempty"):
+            SamplePoints(xy=np.empty((0, 2)), values=[])
         with pytest.raises(ValueError, match="finite"):
             SamplePoints(xy=[[0, 0]], values=[np.nan])
+
+    def test_rejects_bad_shapes(self):
+        for xy, values in (([[0.0, 0.0, 0.0]], [1.0]), ([[0.0, 0.0]], [1.0, 2.0])):
+            with pytest.raises(ValueError, match=r"xy must be \(n, 2\)"):
+                SamplePoints(xy=xy, values=values)
 
     def test_arrays_read_only(self):
         sp = plane_samples()
@@ -88,7 +103,8 @@ class TestMls:
         cfg = MlsConfig(degree=1, weight=weight)
         for q in [(0.0, 0.0), (0.3, -0.7), (5.0, 5.0), (-2.0, 1.5)]:
             res = mls_fit(q, samples, cfg)
-            assert not res.fallback
+            rank, size = mls_rank(q, samples, cfg)
+            assert not rank < size
             assert res.value == pytest.approx(2 * q[0] + 3 * q[1] + 1, abs=1e-9)
 
     def test_degree_zero_constant_weight_is_arithmetic_mean(self):
@@ -97,7 +113,8 @@ class TestMls:
         cfg = MlsConfig(degree=0, weight=GaussianWeight(scale=math.inf))
         res = mls_fit((0.2, 0.9), sp, cfg)
         assert res.value == pytest.approx(4.0, abs=1e-12)
-        assert res.basis_size == 1 and not res.fallback
+        rank, size = mls_rank((0.2, 0.9), sp, cfg)
+        assert size == 1 and not rank < size
 
     def test_degree_two_reproduces_quadratic(self):
         pts = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0.5), (-1, 1.5),
@@ -111,7 +128,8 @@ class TestMls:
         cfg = MlsConfig(degree=2, weight=GaussianWeight(scale=2.0))
         for q in [(0.4, 0.6), (2.0, 2.0), (-0.5, 0.0)]:
             res = mls_fit(q, sp, cfg)
-            assert not res.fallback
+            rank, size = mls_rank(q, sp, cfg)
+            assert not rank < size
             assert res.value == pytest.approx(f(*q), abs=1e-8)
 
     def test_collinear_fallback_matches_one_dimensional_fit(self):
@@ -126,7 +144,8 @@ class TestMls:
         q = np.array([1.0, 0.0])
 
         res = mls_fit(q, sp, MlsConfig(degree=1, weight=weight))
-        assert res.fallback and res.rank == 2 and res.basis_size == 3
+        rank, size = mls_rank(q, sp, MlsConfig(degree=1, weight=weight))
+        assert rank < size and rank == 2 and size == 3
 
         w = weight(np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1]))
         centroid = (w @ pts) / w.sum()
@@ -140,7 +159,8 @@ class TestMls:
     def test_single_sample_falls_back_to_its_value(self):
         sp = SamplePoints(xy=[[2.0, 3.0]], values=[7.5])
         res = mls_fit((0.0, 0.0), sp, MlsConfig(degree=1))
-        assert res.fallback and res.rank == 1
+        rank, size = mls_rank((0.0, 0.0), sp, MlsConfig(degree=1))
+        assert rank < size and rank == 1
         assert res.value == pytest.approx(7.5)
 
     def test_infinite_weight_restricts_to_dominating_site(self):
@@ -149,7 +169,8 @@ class TestMls:
         cfg = MlsConfig(degree=1, weight=InversePowerWeight(power=2.0))
         res = mls_fit((0.0, 0.0), sp, cfg)
         assert res.value == pytest.approx(5.0)
-        assert res.fallback
+        rank, size = mls_rank((0.0, 0.0), sp, cfg)
+        assert rank < size
 
     def test_zero_total_weight_raises(self):
         sp = SamplePoints(xy=[[1000.0, 0.0]], values=[1.0])
@@ -176,8 +197,9 @@ class TestMls:
         sp = SamplePoints(xy=[[1e160, 0.0], [2e160, 0.0]], values=[1.0, 2.0])
         lw = GaussianWeight(1.0).log_weight(np.array([1e160, 2e160]))
         assert np.isneginf(lw).all()
-        r = mls_fit((0, 0), sp, MlsConfig(degree, GaussianWeight(1.0)))
-        assert r.value == 1.0 and r.rank == 1
+        cfg = MlsConfig(degree, GaussianWeight(1.0))
+        r = mls_fit((0, 0), sp, cfg)
+        assert r.value == 1.0 and mls_rank((0, 0), sp, cfg)[0] == 1
 
     def test_rank_rule_counts_only_dominating_samples(self):
         # Three nearly collinear sites lie where d^-400 overflows, so the
@@ -189,11 +211,11 @@ class TestMls:
         vals = np.concatenate([[1.0, 2.0, 3.0], rng.normal(size=997)])
         weight = InversePowerWeight(power=400.0)
         with np.errstate(over="ignore"):
-            res = mls_fit((0.0, 0.0), SamplePoints(xy=xy, values=vals),
-                          MlsConfig(degree=1, weight=weight))
+            rank, size = mls_rank((0.0, 0.0), SamplePoints(xy=xy, values=vals),
+                                  MlsConfig(degree=1, weight=weight))
             want = oracle_mls((0.0, 0.0), xy, vals, 1, weight)
-        assert (res.rank, res.fallback) == (3, False)
-        assert res.rank == want[1]
+        assert (rank, rank < size) == (3, False)
+        assert rank == want[1]
 
     def test_negative_weight_rejected(self):
         sp = plane_samples()
@@ -211,7 +233,9 @@ class TestMls:
         a = mls_fit(q, base, cfg)
         b = mls_fit((q[0] + dx, q[1] + dy), moved, cfg)
         assert b.value == pytest.approx(a.value, abs=1e-9, rel=1e-9)
-        assert b.fallback == a.fallback
+        a_rank, size = mls_rank(q, base, cfg)
+        b_rank, _ = mls_rank((q[0] + dx, q[1] + dy), moved, cfg)
+        assert (b_rank < size) == (a_rank < size)
 
     def test_query_shape_validated(self):
         with pytest.raises(ValueError, match="pair"):
@@ -412,9 +436,11 @@ class TestChunkedAgainstPerQuery:
         for v, q in enumerate(d.coords):
             want[v], rank, size = oracle_mls(q, sp.xy, sp.values, degree, weight)
             if v < 100:
-                res = mls_fit(q, sp, MlsConfig(degree=degree, weight=weight))
-                assert (res.rank, res.basis_size) == (rank, size)
-                assert res.fallback == (rank < size)
+                cfg = MlsConfig(degree=degree, weight=weight)
+                res = mls_fit(q, sp, cfg)
+                got_rank, got_size = mls_rank(q, sp, cfg)
+                assert (got_rank, got_size) == (rank, size)
+                assert (got_rank < got_size) == (rank < size)
                 assert res.value == pytest.approx(want[v], rel=1e-12,
                                                   abs=1e-12 * np.abs(sp.values).max())
             if rank < size:

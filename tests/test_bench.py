@@ -146,3 +146,9 @@ class TestFitMethod:
 def test_non_grid_domain_raises_value_error(call):
     with pytest.raises(ValueError, match="bench runs on grid domains only"):
         call(build_graph([(0, 1), (1, 2)], 3))
+
+
+def test_unknown_generator_named():
+    with pytest.raises(ValueError) as exc:
+        run_bench(GridSpec(4, 4), ("splines",), ("gvf",), 1, 3, 0)
+    assert str(exc.value) == f"unknown generator 'splines'; choose from {GENERATORS}"

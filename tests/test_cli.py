@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,21 @@ from gradvar import (GridSpec, ScalarField, build_graph, build_grid,
                      discrete_gradient, read_field_csv, total_variation,
                      write_scalar_csv)
 from gradvar.cli import main
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture(autouse=True)
+def json_outputs_are_strict(tmp_path):
+    """Every metrics.json and run.json a test here writes is strict JSON."""
+    yield
+    for path in [*tmp_path.rglob("metrics.json"), *tmp_path.rglob("run.json")]:
+        strict_json(path.read_text())
 
 
 @pytest.fixture
@@ -183,10 +199,10 @@ class TestFit:
         csv = read_field_csv(out / "field.csv")
         assert len(csv.values) == 16 and csv.indices is not None
         assert csv.values[0] == 0.0 and csv.values[15] == 3.0
-        metrics = json.loads((out / "metrics.json").read_text())
+        metrics = strict_json((out / "metrics.json").read_text())
         assert metrics["schema"] == 1 and "tv_gradient" in metrics
         assert "rmse" not in metrics
-        run = json.loads((out / "run.json").read_text())
+        run = strict_json((out / "run.json").read_text())
         assert run["command"] == "fit" and run["domain"]["grid"] == "4x4"
         assert run["weight"] == "gaussian:1" and run["power"] == 2.0
         assert capsys.readouterr().out.count("wrote ") == 6
@@ -196,7 +212,7 @@ class TestFit:
         assert main(grid_args(corner_samples, out, "--seed", "1")) == 1
         assert "--seed" in capsys.readouterr().err
         assert main(grid_args(corner_samples, out)) == 0
-        assert "seed" not in json.loads((out / "run.json").read_text())
+        assert "seed" not in strict_json((out / "run.json").read_text())
 
     def test_truth_adds_error_metrics(self, corner_samples, tmp_path):
         truth = tmp_path / "truth.csv"
@@ -204,7 +220,7 @@ class TestFit:
         out = tmp_path / "out"
         rc = main(grid_args(corner_samples, out, "--truth", str(truth)))
         assert rc == 0
-        metrics = json.loads((out / "metrics.json").read_text())
+        metrics = strict_json((out / "metrics.json").read_text())
         assert {"rmse", "max_abs_error", "tv_gradient"} <= set(metrics)
 
     def test_truth_length_mismatch_exit_one(self, corner_samples, tmp_path,
@@ -254,7 +270,7 @@ class TestFit:
         w, h = map(int, size.split("x"))
         field = ScalarField(domain=build_grid(GridSpec(w, h)),
                             values=read_field_csv(out / "field.csv").values)
-        metrics = json.loads((out / "metrics.json").read_text())
+        metrics = strict_json((out / "metrics.json").read_text())
         assert metrics["tv_gradient"] == total_variation(field)
         assert ("rmse" in metrics) == with_truth
 
@@ -272,7 +288,7 @@ class TestFit:
         values = read_field_csv(out / "field.csv").values
         field = ScalarField(domain=build_graph([(0, 1), (1, 2), (2, 3)], 4),
                             values=values)
-        metrics = json.loads((out / "metrics.json").read_text())
+        metrics = strict_json((out / "metrics.json").read_text())
         err = values - np.array([0.0, 0.4, 1.1, 1.5])
         assert metrics["rmse"] == float(np.sqrt(np.mean(np.square(err))))
         assert metrics["max_abs_error"] == float(np.abs(err).max())
@@ -284,7 +300,7 @@ class TestFit:
         grid = GridSpec(4, 4)
         field = ScalarField(domain=build_grid(grid),
                             values=read_field_csv(out / "field.csv").values)
-        metrics = json.loads((out / "metrics.json").read_text())
+        metrics = strict_json((out / "metrics.json").read_text())
         assert metrics["tv_gradient"] == \
             total_variation(discrete_gradient(field, grid))
 
@@ -299,6 +315,7 @@ class TestFit:
         ("gaussian:abc", "--weight wants numbers after 'gaussian:', "
                          "got 'gaussian:abc'"),
         ("invpow:x", "--weight wants numbers after 'invpow:', got 'invpow:x'"),
+        ("gaussian:", "--weight wants numbers after 'gaussian:', got 'gaussian:'"),
     ])
     def test_bad_weight_exit_one(self, corner_samples, tmp_path, capsys,
                                  weight, message):
@@ -389,8 +406,18 @@ class TestFit:
          "MLS failed at vertex 2: zero total weight"),
         (["--delta", "0.4"], "infeasible: vertices 0 and 15"),
         (["--delta", "1e-300"], "delta 1e-300 is too small for the sample range"),
+        (["--method", "shepard", "--power", "inf"],
+         "power must be positive and finite"),
+        (["--method", "harmonic", "--tol", "inf"], "tol must be nonnegative and finite"),
+        (["--method", "mls", "--weight", "gaussian:"],
+         "--weight wants numbers after 'gaussian:'"),
+        # Grid coordinates up to 3e308 overflow to inf.
+        (["--spacing", "1e308"], "vertex coordinates must be finite"),
+        (["--method", "mls", "--spacing", "1e308"], "vertex coordinates must be finite"),
     ], ids=["weight-on-gvf", "shepard-power", "mls-zero-weight",
-            "infeasible-delta", "delta-too-small"])
+            "infeasible-delta", "delta-too-small", "shepard-power-inf",
+            "harmonic-tol-inf", "gaussian-no-scale", "coords-overflow-gvf",
+            "coords-overflow-mls"])
     def test_failed_fit_writes_nothing(self, corner_samples, tmp_path, capsys,
                                        extra, message):
         out = tmp_path / "out"
@@ -398,6 +425,21 @@ class TestFit:
         assert rc == (2 if message.startswith("infeasible") else 1)
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["mls", "shepard"])
+    def test_pointwise_methods_fit_rows_unmerged(self, tmp_path, method):
+        # Both rows snap to vertex 4, where gvf would merge them with a
+        # warning; the pointwise methods fit each row where it lies.
+        samples = tmp_path / "s.csv"
+        samples.write_text("x,y,value\n0.9,0.9,1.0\n1.1,1.1,3.0\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["fit", "--grid", "3x3", "--samples", str(samples),
+                       "--method", method, "--order", "0", "--out", str(out)])
+        assert rc == 0
+        values = read_field_csv(out / "field.csv").values
+        assert values[0] < 2.0 < values[8]
 
     def test_edge_list_domain_skips_renders(self, tmp_path):
         edges = tmp_path / "g.txt"
@@ -437,7 +479,7 @@ class TestFit:
         assert main(["fit", "--grid", "32x32", "--samples", str(samples),
                      "--method", "harmonic", "--out", str(tmp_path / "o"),
                      *extra]) == 0
-        m = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        m = strict_json((tmp_path / "o" / "metrics.json").read_text())
         assert m["converged"] is converged
         assert (m["final_residual"] < 1e-9) is converged
 
@@ -528,7 +570,9 @@ class TestBench:
         ("harmonic", ["--iters", "-1"]),
         ("harmonic", ["--tol", "nan"]),
         ("shepard", ["--power", "0"]),
-    ], ids=["iters", "tol", "power"])
+        ("harmonic", ["--tol", "inf"]),
+        ("shepard", ["--power", "inf"]),
+    ], ids=["iters", "tol", "power", "tol-inf", "power-inf"])
     def test_checks_method_options_as_fit_does(self, tmp_path, capsys,
                                                corner_samples, method, flags):
         assert main(grid_args(corner_samples, tmp_path / "fit", "--method",
@@ -633,3 +677,14 @@ class TestRender:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "grid" in capsys.readouterr().err
+
+    def test_mesh_domain_rejected(self, tmp_path, capsys):
+        mesh = tmp_path / "m.obj"
+        mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        field = tmp_path / "f.csv"
+        write_scalar_csv(field, np.arange(3.0))
+        rc = main(["render", "--mesh", str(mesh), "--field", str(field),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "render needs a grid domain; pass --grid WxH" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -29,6 +29,18 @@ class TestDomain:
         with pytest.raises(ValueError):
             build_graph([(-1, 0)], 3)
 
+    def test_edges_must_be_pairs(self):
+        with pytest.raises(ValueError, match="edges must be pairs of vertex ids"):
+            Domain(3, [(0, 1, 2)])
+
+    def test_coords_must_be_finite(self):
+        # The rule load_mesh applies to OBJ vertices, on every domain.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+                build_graph([(0, 1)], 2, coords=[[0.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match="vertex coordinates must be finite"):
+            build_grid(GridSpec(4, 4, spacing=1e308))
+
     def test_empty_graph(self):
         d = Domain(4)
         assert d.edge_count == 0

@@ -164,9 +164,11 @@ INPUT_CHECKS = {
     "ScalarField-finite": (lambda: ScalarField(PATH, [0.0, np.nan, 1.0]),
                            "field values must all be finite"),
     "harmonic_relax-tol": (lambda: harmonic_relax(FIELD, {0: 1.0}, tol=-1.0),
-                           "tol must be nonnegative"),
+                           "tol must be nonnegative and finite"),
     "harmonic_relax-tol-nan": (lambda: harmonic_relax(FIELD, {0: 1.0}, tol=np.nan),
-                               "tol must be nonnegative"),
+                               "tol must be nonnegative and finite"),
+    "harmonic_relax-tol-inf": (lambda: harmonic_relax(FIELD, {0: 1.0}, tol=np.inf),
+                               "tol must be nonnegative and finite"),
     "compute_metrics": (
         lambda: compute_metrics(FIELD, ScalarField(Domain(2), [0.0, 0.0])),
         "field and truth have different vertex counts"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gradvar import (Domain, GridSpec, LevelField, LevelTable, ParsedSamples,
-                     ScalarField, build_graph, build_grid, fit_gvf, load_mesh,
+                     SamplePoints, ScalarField, build_graph, build_grid, fit_gvf, load_mesh,
                      read_edge_list, read_field_csv, read_samples_csv,
                      render_heatmap, render_heightmesh, render_pgm16,
                      sample_coords, snap_to_vertices, write_level_csv,
@@ -284,15 +284,26 @@ class TestSnapping:
             out = snap_to_vertices(parsed, d)
         assert out == {4: 4.0}
 
-    def test_three_rows_merge_by_running_mean(self):
+    def test_three_rows_merge_by_sum_over_count(self):
         grid = GridSpec(3, 3)
         d = build_grid(grid)
         parsed = ParsedSamples(kind="xy", rows=np.array(
             [[1.0, 1.0, 1.0], [0.0, 0.0, 7.0], [1.1, 0.9, 2.0], [0.9, 1.1, 4.0]]))
         with pytest.warns(UserWarning, match="^2 sample row"):
             out = snap_to_vertices(parsed, d)
-        assert list(out) == [4, 0]
-        assert out == {4: 1.5 + (4.0 - 1.5) / 3, 0: 7.0}
+        assert list(out) == [0, 4]
+        assert out == {4: (1.0 + 2.0 + 4.0) / 3, 0: 7.0}
+
+    def test_snapping_merges_as_pointwise_methods_do(self):
+        # A running mean gives 0.2 here and sum / count 0.20000000000000004;
+        # gvf and MLS must fit the same merged value from one file.
+        d = build_grid(GridSpec(3, 3))
+        parsed = ParsedSamples(kind="vertex", rows=np.array(
+            [[5.0, 0.1], [5.0, 0.2], [5.0, 0.3]]))
+        with pytest.warns(UserWarning, match="^2 sample row"):
+            out = snap_to_vertices(parsed, d)
+        points = SamplePoints.from_points(sample_coords(parsed, d))
+        assert out == {5: points.values[0]} == {5: (0.1 + 0.2 + 0.3) / 3}
 
     def test_spacing_scales_snap(self):
         grid = GridSpec(3, 3, spacing=2.0)
@@ -504,6 +515,12 @@ class TestAtomicWrites:
     def test_no_temp_files_left_behind(self, tmp_path):
         write_scalar_csv(tmp_path / "f.csv", np.arange(3.0))
         assert sorted(os.listdir(tmp_path)) == ["f.csv"]
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(OSError):
+            atomic_write_text(tmp_path / "taken", "x")
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
 
     def test_overwrite_replaces_contents(self, tmp_path):
         p = tmp_path / "f.csv"

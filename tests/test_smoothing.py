@@ -71,11 +71,14 @@ class TestHarmonicRelax:
         out, _ = harmonic_relax(init, fixed, max_iter=5000, tol=1e-13)
         assert np.abs(out.values - truth.values).max() < 1e-8
 
-    def test_isolated_free_vertex_rejected(self):
+    def test_isolated_free_vertex_keeps_start_value(self):
+        # Vertex 2 has no neighbors, so no fixed vertex reaches it: it keeps
+        # its start value and stays out of final_residual.
         d = build_graph([(0, 1)], 3)
-        f = ScalarField(domain=d, values=np.zeros(3))
-        with pytest.raises(ValueError, match="no neighbors"):
-            harmonic_relax(f, {0: 1.0})
+        f = ScalarField(domain=d, values=np.array([0.0, 0.0, 5.0]))
+        out, report = harmonic_relax(f, {0: 1.0})
+        assert out.values.tolist() == [1.0, 1.0, 5.0]
+        assert report.final_residual == 0.0
 
     def test_empty_fixed_rejected(self):
         d = path_domain(2)
@@ -303,6 +306,10 @@ class TestSmoothReconstruct:
         rng = np.random.default_rng(seed)
         verts = rng.choice(d.vertex_count, size=count, replace=False)
         return d, truth, {int(v): float(truth[v]) for v in verts}
+
+    def test_domain_type_checked(self):
+        with pytest.raises(TypeError, match="dom must be a GridSpec or Domain"):
+            smooth_reconstruct("8x6", {0: 1.0}, order=0)
 
     def test_order_zero_is_clamped_pipeline_output(self):
         grid = GridSpec(8, 6)
