@@ -90,10 +90,10 @@ class InversePowerWeight:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not self.power > 0:
-            raise ValueError("power must be positive")
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0 < self.power < math.inf:
+            raise ValueError("power must be positive and finite")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
 
     def __call__(self, dist: np.ndarray) -> np.ndarray:
         base = np.asarray(dist, dtype=np.float64) + self.epsilon

@@ -27,6 +27,7 @@ from .smoothing import (_as_domain, _relax_options, harmonic_relax,
 GENERATORS = ("affine", "gaussian-bump", "sinusoid", "two-line-samples",
               "boundary-ring")
 METHODS = ("gvf", "smooth", "harmonic", "mls", "shepard")
+POINTWISE = ("mls", "shepard")   # fit each sample where it lies, not at a vertex
 
 
 class MethodFit(NamedTuple):
@@ -35,15 +36,15 @@ class MethodFit(NamedTuple):
     report: dict                # per-method diagnostics, JSON-ready
 
 
-def fit_method(method: str, domain: Domain, samples, points, *,
+def fit_method(method: str, domain: Domain, samples, *,
                delta: float | None = None, policy: str = "midpoint",
                order: int = 1, sweeps: int = 10, iters: int = 100,
                tol: float = 1e-9, weight=GaussianWeight(),
                power: float = 2.0) -> MethodFit:
-    """Run one of METHODS on vertex -> value ``samples``, for `fit` and `bench`.
+    """Run one of METHODS on ``samples``, for `fit` and `bench`.
 
-    Only mls and shepard call ``points()``, for the SamplePoints they fit,
-    and only they do not read ``samples``.
+    ``samples`` is the SamplePoints that the POINTWISE methods fit, or the
+    vertex -> value map that every other method reads.
     gvf and harmonic's gvf start read ``delta`` (None: automatic) and
     ``policy``; ``order`` is smooth's order and mls's degree.  The report
     holds gvf's ``delta``, harmonic's ``iterations_run``, ``final_residual``
@@ -64,11 +65,11 @@ def fit_method(method: str, domain: Domain, samples, points, *,
                                             sweeps=sweeps), None, {})
     if method == "mls":
         fit = evaluate_on_domain(MlsConfig(degree=order, weight=weight),
-                                 points(), domain)
+                                 samples, domain)
         return MethodFit(fit.field, None,
                          {"fallback_vertices": len(fit.fallback_vertices)})
     if method == "shepard":
-        fit = evaluate_on_domain(ShepardConfig(power=power), points(), domain)
+        fit = evaluate_on_domain(ShepardConfig(power=power), samples, domain)
         return MethodFit(fit.field, None, {})
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
@@ -148,10 +149,8 @@ def make_case(name: str, domain: Domain, seed: int, trial: int,
     truth = ScalarField(domain=domain, values=_truth_values(name, domain, rng))
     verts = _sample_vertices(name, grid, rng, count, trial)
     vmap = {int(v): float(truth.values[v]) for v in verts}
-    points = SamplePoints(xy=domain.coords[verts],
-                          values=truth.values[verts])
     return BenchCase(truth=truth, sample_verts=verts, sample_map=vmap,
-                     points=points)
+                     points=SamplePoints(domain.coords[verts], truth.values[verts]))
 
 
 def gvf_error_bound(truth: ScalarField, fitted: ScalarField,
@@ -229,10 +228,10 @@ def run_bench(dom, generators, methods, trials: int, count: int,
             case = make_case(gen, domain, seed, trial, count)
             for method in methods:
                 try:
+                    samples = case.points if method in POINTWISE else case.sample_map
                     field, _, report = fit_method(
-                        method, domain, case.sample_map, lambda: case.points,
-                        order=order, iters=iters, tol=tol, weight=weight,
-                        power=power)
+                        method, domain, samples, order=order, iters=iters,
+                        tol=tol, weight=weight, power=power)
                     bound = None
                     if method == "gvf":
                         bound = gvf_error_bound(case.truth, field,

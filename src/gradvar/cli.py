@@ -14,9 +14,9 @@ import argparse
 import os
 import sys
 
-from .baselines import GaussianWeight, InversePowerWeight, SamplePoints
-from .bench import GENERATORS, METHODS, fit_method, run_bench, write_bench_csv
-from .domain import Domain, GridSpec, build_graph, build_grid, load_mesh
+from .baselines import GaussianWeight, InversePowerWeight, SamplePoints, ShepardConfig
+from .bench import GENERATORS, METHODS, POINTWISE, fit_method, run_bench, write_bench_csv
+from .domain import Domain, GridSpec, _count, build_graph, build_grid, load_mesh
 from .fields import ScalarField
 from .fileio import (read_edge_list, read_field_csv, read_samples_csv,
                      sample_coords, snap_to_vertices, write_level_csv,
@@ -24,6 +24,7 @@ from .fileio import (read_edge_list, read_field_csv, read_samples_csv,
 from .gvf import InfeasibleError, check_feasibility, lipschitz_delta, quantize
 from .metrics import _tv_gradient, compute_metrics
 from .render import render_heatmap, render_heightmesh, render_pgm16
+from .smoothing import _relax_options
 
 
 class _UsageError(Exception):
@@ -38,15 +39,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _add_domain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", metavar="WxH", help="grid domain, e.g. 32x32")
+def _add_domain_flags(p: argparse.ArgumentParser, grid_only: bool) -> None:
+    """--grid with its --connectivity and --spacing; unless ``grid_only``,
+    also --mesh and --edges, of which argparse takes exactly one."""
+    kinds = p if grid_only else p.add_mutually_exclusive_group(required=True)
+    kinds.add_argument("--grid", metavar="WxH", required=grid_only,
+                       help="grid domain, e.g. 32x32")
     p.add_argument("--connectivity", choices=["4", "8"], default="4",
                    help="grid neighborhood (default 4)")
     p.add_argument("--spacing", type=float, default=1.0,
                    help="grid spacing (default 1.0)")
-    p.add_argument("--mesh", metavar="FILE", help="OBJ mesh domain")
-    p.add_argument("--edges", metavar="FILE",
-                   help="edge-list domain ('vertices N' then 'a b' lines)")
+    if not grid_only:
+        kinds.add_argument("--mesh", metavar="FILE", help="OBJ mesh domain")
+        kinds.add_argument("--edges", metavar="FILE",
+                           help="edge-list domain ('vertices N' then 'a b' lines)")
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
@@ -62,12 +68,10 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_domain(args) -> Domain:
-    picked = [x for x in (args.grid, args.mesh, args.edges) if x]
-    if len(picked) != 1:
-        raise ValueError("specify exactly one of --grid, --mesh, --edges")
-    if args.mesh:
-        return load_mesh(args.mesh)
-    if args.edges:
+    """The domain of the one domain flag the parser let through."""
+    if args.grid is None:
+        if args.mesh is not None:
+            return load_mesh(args.mesh)
         count, edges = read_edge_list(args.edges)
         return build_graph(edges, count)
     parts = args.grid.lower().split("x")
@@ -125,12 +129,10 @@ def _read_field(path, domain: Domain, mismatch: str) -> ScalarField:
 
 
 def _domain_description(args) -> dict:
-    if args.grid:
+    if args.grid is not None:
         return {"grid": args.grid, "connectivity": args.connectivity,
                 "spacing": args.spacing}
-    if args.mesh:
-        return {"mesh": args.mesh}
-    return {"edges": args.edges}
+    return {"mesh": args.mesh} if args.mesh is not None else {"edges": args.edges}
 
 
 def cmd_check(args) -> int:
@@ -163,19 +165,22 @@ def _write_renders(field: ScalarField, out: str) -> list[str]:
 def cmd_fit(args) -> int:
     domain = _resolve_domain(args)
     parsed = read_samples_csv(args.samples)
-    # mls and shepard fit each row at its own coordinates; the rest snap.
-    vmap = None if args.method in ("mls", "shepard") else snap_to_vertices(parsed, domain)
+    samples = (SamplePoints.from_points(sample_coords(parsed, domain))
+               if args.method in POINTWISE else snap_to_vertices(parsed, domain))
     delta = _parse_delta(args.delta)
     weight = _parse_weight(args.weight)
+    # run.json records these for every method, so each must hold for any.
+    _relax_options(args.iters, args.tol)
+    ShepardConfig(power=args.power)
+    _count(args.sweeps, "sweeps", 0)
     truth = None
     if args.truth:
         truth = _read_field(args.truth, domain,
                             "truth field length does not match the domain")
     scalar, levels, report = fit_method(
-        args.method, domain, vmap,
-        lambda: SamplePoints.from_points(sample_coords(parsed, domain)),
-        delta=delta, policy=args.policy, order=args.order, sweeps=args.sweeps,
-        iters=args.iters, tol=args.tol, weight=weight, power=args.power)
+        args.method, domain, samples, delta=delta, policy=args.policy,
+        order=args.order, sweeps=args.sweeps, iters=args.iters, tol=args.tol,
+        weight=weight, power=args.power)
 
     os.makedirs(args.out, exist_ok=True)
     written = [os.path.join(args.out, "field.csv")]
@@ -240,8 +245,6 @@ def cmd_bench(args) -> int:
 
 def cmd_render(args) -> int:
     domain = _resolve_domain(args)
-    if domain.grid is None:
-        raise ValueError("render needs a grid domain; pass --grid WxH")
     field = _read_field(args.field, domain,
                         "field length does not match the grid")
     os.makedirs(args.out, exist_ok=True)
@@ -257,14 +260,14 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("check", help="feasibility verdict for a sample set")
-    _add_domain_flags(pc)
+    _add_domain_flags(pc, grid_only=False)
     pc.add_argument("--samples", required=True, metavar="FILE")
     pc.add_argument("--delta", default="auto",
                     help="level spacing, number or 'auto' (default)")
     pc.set_defaults(func=cmd_check)
 
     pf = sub.add_parser("fit", help="fit one method and export results")
-    _add_domain_flags(pf)
+    _add_domain_flags(pf, grid_only=False)
     pf.add_argument("--samples", required=True, metavar="FILE")
     pf.add_argument("--method", default="gvf", choices=METHODS)
     pf.add_argument("--delta", default="auto",
@@ -283,7 +286,7 @@ def _build_parser() -> _Parser:
     pf.set_defaults(func=cmd_fit)
 
     pb = sub.add_parser("bench", help="seeded synthetic comparison runs")
-    _add_domain_flags(pb)
+    _add_domain_flags(pb, grid_only=True)
     pb.add_argument("--generator", default="all",
                     help=f"comma list from {', '.join(GENERATORS)} or 'all'")
     pb.add_argument("--method", default="all",
@@ -297,7 +300,7 @@ def _build_parser() -> _Parser:
     pb.set_defaults(func=cmd_bench)
 
     pr = sub.add_parser("render", help="render an exported field CSV")
-    _add_domain_flags(pr)
+    _add_domain_flags(pr, grid_only=True)
     pr.add_argument("--field", required=True, metavar="FILE")
     pr.add_argument("--out", default=".", metavar="DIR")
     pr.set_defaults(func=cmd_render)

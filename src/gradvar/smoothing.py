@@ -188,7 +188,6 @@ def _taylor_blend(domain: Domain, coords: np.ndarray, values: np.ndarray,
     """
     x, y = coords[:, 0], coords[:, 1]
     deg = domain.degrees.astype(np.float64)
-    safe_deg = np.where(deg > 0, deg, 1.0)
     a_gx = _neighbor_sums(domain, gx)
     a_gxx = _neighbor_sums(domain, gx * x)
     a_gy = _neighbor_sums(domain, gy)
@@ -196,8 +195,7 @@ def _taylor_blend(domain: Domain, coords: np.ndarray, values: np.ndarray,
     const = x * a_gx - a_gxx + y * a_gy - a_gyy
     out = np.array(values, dtype=np.float64)
     for _ in range(sweeps):
-        blended = (_neighbor_sums(domain, out) + const) / safe_deg
-        blended = np.where(deg > 0, blended, out)
+        blended = (_neighbor_sums(domain, out) + const) / deg
         blended[sample_verts] = sample_vals
         out = blended
     return out

@@ -6,11 +6,12 @@ import csv
 import numpy as np
 import pytest
 
-from gradvar import (GaussianWeight, GridSpec, MlsConfig, ShepardConfig,
-                     build_graph, build_grid, compute_metrics, evaluate_on_domain,
-                     fit_gvf, harmonic_relax, smooth_reconstruct, to_scalar)
-from gradvar.bench import (GENERATORS, METHODS, fit_method, gvf_error_bound,
-                           make_case, run_bench)
+from gradvar import (GaussianWeight, GridSpec, MlsConfig, SamplePoints,
+                     ShepardConfig, build_graph, build_grid, compute_metrics,
+                     evaluate_on_domain, fit_gvf, harmonic_relax,
+                     smooth_reconstruct, to_scalar)
+from gradvar.bench import (GENERATORS, METHODS, POINTWISE, fit_method,
+                           gvf_error_bound, make_case, run_bench)
 from gradvar.cli import main
 
 
@@ -98,45 +99,51 @@ def test_bench_and_fit_read_one_method_list(tmp_path, capsys):
 
 
 class TestFitMethod:
-    def _unused(self):
-        raise AssertionError("points read by a method that needs none")
-
     @pytest.mark.parametrize("method", ["gvf", "smooth", "harmonic"])
     def test_vertex_methods_never_read_points(self, method):
         domain = build_grid(GridSpec(5, 5))
-        fit = fit_method(method, domain, {0: 0.0, 24: 2.0}, self._unused)
+        fit = fit_method(method, domain, {0: 0.0, 24: 2.0})
         assert fit.field.values[0] == 0.0 and fit.field.values[24] == 2.0
         assert (fit.levels is not None) == (method == "gvf")
+
+    @pytest.mark.parametrize("method", POINTWISE)
+    def test_pointwise_methods_fit_sample_points(self, method):
+        domain = build_grid(GridSpec(5, 5))
+        points = SamplePoints.from_points([(0.5, 0.0, 1.0), (3.0, 2.5, -1.0),
+                                           (1.0, 4.0, 0.5)])
+        config = MlsConfig() if method == "mls" else ShepardConfig()
+        want = evaluate_on_domain(config, points, domain)
+        fit = fit_method(method, domain, points)
+        np.testing.assert_array_equal(fit.field.values, want.field.values)
+        assert fit.levels is None
+        assert fit.report == ({"fallback_vertices": len(want.fallback_vertices)}
+                              if method == "mls" else {})
 
     def test_reports(self):
         domain = build_grid(GridSpec(5, 5))
         samples = {0: 0.0, 12: 1.5, 24: 2.0}
-        gvf = fit_method("gvf", domain, samples, self._unused, delta=0.5)
+        gvf = fit_method("gvf", domain, samples, delta=0.5)
         assert gvf.report == {"delta": 0.5}
-        harmonic = fit_method("harmonic", domain, samples, self._unused,
-                              iters=7, tol=0.0)
+        harmonic = fit_method("harmonic", domain, samples, iters=7, tol=0.0)
         assert harmonic.report["iterations_run"] == 7
         assert harmonic.report["final_residual"] > 0
-        assert fit_method("smooth", domain, samples, self._unused).report == {}
+        assert fit_method("smooth", domain, samples).report == {}
 
     def test_harmonic_start_follows_policy(self):
         domain = build_grid(GridSpec(6, 1))
         samples = {0: 0.0, 5: 1.0}
         for policy in ("midpoint", "lower", "upper"):
-            gvf = fit_method("gvf", domain, samples, self._unused, delta=0.25,
-                             policy=policy)
-            start = fit_method("harmonic", domain, samples, self._unused,
-                               delta=0.25, policy=policy, iters=0)
+            gvf = fit_method("gvf", domain, samples, delta=0.25, policy=policy)
+            start = fit_method("harmonic", domain, samples, delta=0.25,
+                               policy=policy, iters=0)
             assert start.field.values.tolist() == gvf.field.values.tolist()
-        lower = fit_method("gvf", domain, samples, self._unused, delta=0.25,
-                           policy="lower")
-        upper = fit_method("gvf", domain, samples, self._unused, delta=0.25,
-                           policy="upper")
+        lower = fit_method("gvf", domain, samples, delta=0.25, policy="lower")
+        upper = fit_method("gvf", domain, samples, delta=0.25, policy="upper")
         assert not np.array_equal(lower.field.values, upper.field.values)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method 'rbf'"):
-            fit_method("rbf", build_grid(GridSpec(2, 2)), {0: 0.0}, self._unused)
+            fit_method("rbf", build_grid(GridSpec(2, 2)), {0: 0.0})
 
 
 @pytest.mark.parametrize("call", [

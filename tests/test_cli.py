@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from gradvar import (GridSpec, ScalarField, build_graph, build_grid,
                      discrete_gradient, read_field_csv, total_variation,
                      write_scalar_csv)
-from gradvar.cli import main
+from gradvar.cli import _build_parser, main
 
 
 def strict_json(text):
@@ -77,25 +78,49 @@ class TestCheck:
 
     def test_domain_flags_must_be_exclusive(self, corner_samples, tmp_path,
                                             capsys):
-        rc = main(["check", "--samples", corner_samples])
-        assert rc == 1
         edges = tmp_path / "g.txt"
         edges.write_text("vertices 2\n0 1\n")
-        rc = main(["check", "--grid", "2x2", "--edges", str(edges),
-                   "--samples", corner_samples])
-        assert rc == 1
-        assert "exactly one" in capsys.readouterr().err
         mesh = tmp_path / "m.obj"
         mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        out = ["--out", str(tmp_path / "out")]
+        for command in (["check"], ["fit", *out]):
+            base = [*command, "--samples", corner_samples]
+            assert main(base) == 1
+            assert capsys.readouterr().err == (
+                f"gradvar {command[0]}: error: one of the arguments --grid "
+                f"--mesh --edges is required\n")
+            for first, second in ((["--grid", "2x2"], ["--edges", str(edges)]),
+                                  (["--grid", "2x2"], ["--mesh", str(mesh)]),
+                                  (["--mesh", str(mesh)], ["--edges", str(edges)])):
+                assert main([*base, *first, *second]) == 1
+                assert capsys.readouterr().err == (
+                    f"gradvar {command[0]}: error: argument {second[0]}: "
+                    f"not allowed with argument {first[0]}\n")
+        # bench and render know only --grid, and read no mesh or edge list.
         field = tmp_path / "f.csv"
         write_scalar_csv(field, np.arange(16.0))
         for command in (["bench"], ["render", "--field", str(field)]):
             for other in (["--mesh", str(mesh)], ["--edges", str(edges)]):
-                rc = main([*command, "--grid", "4x4", *other,
-                           "--out", str(tmp_path / "out")])
+                rc = main([*command, "--grid", "4x4", *other, *out])
                 assert rc == 1
-                assert "exactly one" in capsys.readouterr().err
+                assert capsys.readouterr().err == (
+                    f"gradvar: error: unrecognized arguments: {' '.join(other)}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--grid", "error: --grid wants WxH, got ''\n"),
+        ("--mesh", "error: [Errno 2] No such file or directory: ''\n"),
+        ("--edges", "error: [Errno 2] No such file or directory: ''\n"),
+    ], ids=["grid", "mesh", "edges"])
+    @pytest.mark.parametrize("command", ["check", "fit"])
+    def test_empty_domain_value_exit_one(self, corner_samples, tmp_path, capsys,
+                                         command, flag, message):
+        out = tmp_path / "out"
+        rc = main([command, flag, "", "--samples", corner_samples,
+                   *(["--out", str(out)] if command == "fit" else [])])
+        assert rc == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--grid", "3by3"], "--grid wants WxH, got '3by3'"),
@@ -316,6 +341,8 @@ class TestFit:
                          "got 'gaussian:abc'"),
         ("invpow:x", "--weight wants numbers after 'invpow:', got 'invpow:x'"),
         ("gaussian:", "--weight wants numbers after 'gaussian:', got 'gaussian:'"),
+        ("invpow:inf", "power must be positive and finite"),
+        ("invpow:2,inf", "epsilon must be nonnegative and finite"),
     ])
     def test_bad_weight_exit_one(self, corner_samples, tmp_path, capsys,
                                  weight, message):
@@ -409,6 +436,11 @@ class TestFit:
         (["--method", "shepard", "--power", "inf"],
          "power must be positive and finite"),
         (["--method", "harmonic", "--tol", "inf"], "tol must be nonnegative and finite"),
+        # run.json records these four for every method, so gvf checks them too.
+        (["--power", "inf"], "power must be positive and finite"),
+        (["--tol", "nan"], "tol must be nonnegative and finite"),
+        (["--iters", "-1"], "max_iter must be an integer >= 0"),
+        (["--sweeps", "-1"], "sweeps must be an integer >= 0"),
         (["--method", "mls", "--weight", "gaussian:"],
          "--weight wants numbers after 'gaussian:'"),
         # Grid coordinates up to 3e308 overflow to inf.
@@ -416,7 +448,8 @@ class TestFit:
         (["--method", "mls", "--spacing", "1e308"], "vertex coordinates must be finite"),
     ], ids=["weight-on-gvf", "shepard-power", "mls-zero-weight",
             "infeasible-delta", "delta-too-small", "shepard-power-inf",
-            "harmonic-tol-inf", "gaussian-no-scale", "coords-overflow-gvf",
+            "harmonic-tol-inf", "gvf-power-inf", "gvf-tol-nan", "gvf-iters",
+            "gvf-sweeps", "gaussian-no-scale", "coords-overflow-gvf",
             "coords-overflow-mls"])
     def test_failed_fit_writes_nothing(self, corner_samples, tmp_path, capsys,
                                        extra, message):
@@ -686,5 +719,29 @@ class TestRender:
         rc = main(["render", "--mesh", str(mesh), "--field", str(field),
                    "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert "render needs a grid domain; pass --grid WxH" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "gradvar render: error: the following arguments are required: --grid\n"
         assert not (tmp_path / "out").exists()
+
+
+def test_each_subcommand_takes_its_pinned_flags():
+    """A new flag is a new setting to document and check: adding one means
+    editing this list.  The CLI takes 42 in all."""
+    sub = next(action for action in _build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {flag for action in parser._actions
+                    for flag in action.option_strings if flag not in ("-h", "--help")}
+             for name, parser in sub.choices.items()}
+    grid = {"--grid", "--connectivity", "--spacing"}
+    domain = grid | {"--mesh", "--edges"}
+    method = {"--order", "--iters", "--tol", "--power"}
+    assert flags == {
+        "check": domain | {"--samples", "--delta"},
+        "fit": domain | method | {"--samples", "--method", "--delta", "--policy",
+                                  "--sweeps", "--weight", "--out", "--truth"},
+        "bench": grid | method | {"--generator", "--method", "--trials",
+                                  "--points", "--seed", "--out"},
+        "render": grid | {"--field", "--out"},
+    }
+    assert [len(flags[name]) for name in ("check", "fit", "bench", "render")] == \
+        [7, 17, 13, 5]

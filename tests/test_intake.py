@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from gradvar import (Domain, EnvelopePair, GradientField, GridSpec, GuidingSet,
-                     LevelField, LevelTable, SamplePoints, ScalarField,
-                     bfs_distances, build_graph, build_grid, check_feasibility,
-                     compute_metrics, envelopes, fit_gvf, harmonic_relax,
-                     lipschitz_delta, quantize, smooth_reconstruct)
+                     InversePowerWeight, LevelField, LevelTable, SamplePoints,
+                     ScalarField, bfs_distances, build_graph, build_grid,
+                     check_feasibility, compute_metrics, envelopes, fit_gvf,
+                     harmonic_relax, lipschitz_delta, quantize,
+                     smooth_reconstruct)
 from gradvar.bench import run_bench
 
 PATH = build_graph([(0, 1), (1, 2)], 3)
@@ -169,6 +170,10 @@ INPUT_CHECKS = {
                                "tol must be nonnegative and finite"),
     "harmonic_relax-tol-inf": (lambda: harmonic_relax(FIELD, {0: 1.0}, tol=np.inf),
                                "tol must be nonnegative and finite"),
+    "InversePowerWeight-power-inf": (lambda: InversePowerWeight(np.inf),
+                                     "power must be positive and finite"),
+    "InversePowerWeight-epsilon-inf": (lambda: InversePowerWeight(2.0, np.inf),
+                                       "epsilon must be nonnegative and finite"),
     "compute_metrics": (
         lambda: compute_metrics(FIELD, ScalarField(Domain(2), [0.0, 0.0])),
         "field and truth have different vertex counts"),
