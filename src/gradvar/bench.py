@@ -207,18 +207,19 @@ def run_bench(dom, generators, methods, trials: int, count: int,
     """Run every (trial, generator, method) combination on one grid, a
     GridSpec or a :func:`build_grid` Domain, each through
     :func:`fit_method` with its defaults for the options not passed.  A
-    failed fit becomes a row; a domain without a grid, or a bad ``iters``,
-    ``tol`` or ``power`` for a method run, raises ValueError up front.
+    failed fit becomes a row; a domain without a grid, a bad ``seed``, or a bad
+    ``iters``, ``tol`` or ``power`` for a method run raises ValueError up front.
 
     Prints nothing: ``verbose`` is ignored, and stays in the signature
     only because the acceptance test of criterion C8 passes it.
     """
     trials, count = _count(trials, "trials"), _count(count, "sample count")
+    seed = _count(seed, "seed", 0)
     domain = _as_domain(dom)
     grid = _grid(domain)
     # Bad options of a method to run fail here, with fit's messages, not per row.
     if "harmonic" in methods:
-        _relax_options(iters, tol)
+        _relax_options(iters, tol, "iters")
     if "shepard" in methods:
         ShepardConfig(power=power)
     weight = GaussianWeight(scale=max(grid.width, grid.height) * grid.spacing / 4)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from .baselines import GaussianWeight, InversePowerWeight, SamplePoints, ShepardConfig
 from .bench import GENERATORS, METHODS, POINTWISE, fit_method, run_bench, write_bench_csv
@@ -170,7 +171,7 @@ def cmd_fit(args) -> int:
     delta = _parse_delta(args.delta)
     weight = _parse_weight(args.weight)
     # run.json records these for every method, so each must hold for any.
-    _relax_options(args.iters, args.tol)
+    _relax_options(args.iters, args.tol, "iters")
     ShepardConfig(power=args.power)
     _count(args.sweeps, "sweeps", 0)
     truth = None
@@ -228,9 +229,9 @@ def cmd_bench(args) -> int:
     domain = _resolve_domain(args)
     gens = _pick(args.generator, GENERATORS, "generator")
     methods = _pick(args.method, METHODS, "method")
-    rows = run_bench(domain, gens, methods, trials=args.trials, count=args.points,
-                     seed=args.seed, order=args.order, power=args.power,
-                     iters=args.iters, tol=args.tol)
+    rows = run_bench(domain, gens, methods, trials=args.trials,
+                     count=_count(args.points, "points"), seed=args.seed,
+                     order=args.order, power=args.power, iters=args.iters, tol=args.tol)
     for r in rows:
         if r.gvf_error_bound is not None:
             print(f"trial {r.trial} {r.generator}: gvf max-error bound "
@@ -308,10 +309,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a warning it raises prints as one ``warning:`` line."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -87,8 +87,8 @@ class Domain:
     every other domain; renders, gradients and sample snapping read the
     raster layout from it.  ``_pair_memo`` holds the last pair-distance
     matrix the level-set code computed, as read-only (vertices, matrix), so
-    that a check at the auto delta runs its sweeps once and the component
-    rule reads its row 0; it is a cache, not part of the graph.
+    that a check at the auto delta runs its sweeps once and ``envelopes``
+    reads its component verdict from row 0; it is a cache, not the graph.
     """
 
     __slots__ = ("vertex_count", "coords", "_offsets", "_dir_src", "_dir_dst",
@@ -164,6 +164,7 @@ class Domain:
         return self._dir_src, self._dir_dst
 
     def adjacency_lists(self) -> list[list[int]]:
+        """Neighbor lists as plain ints: the oracle input of gates C2 and C6."""
         return [self.neighbors(v).tolist() for v in range(self.vertex_count)]
 
     def __repr__(self) -> str:

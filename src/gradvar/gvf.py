@@ -5,7 +5,7 @@ adjacent vertices differ by at most one index (a discrete 1-Lipschitz
 function into a chain).  Given guiding vertices with prescribed indices,
 such an assignment interpolating them exists iff every guiding pair
 (x, i), (y, j) satisfies d(x, y) >= |i - j| with d the hop distance;
-guiding vertices in different components count as infeasible.
+a pair in different components counts as the worst violation.
 This module quantizes real samples into indices, decides existence, and
 constructs an extension via distance envelopes.
 """
@@ -200,27 +200,14 @@ def _sample_arrays(domain: Domain, samples: Mapping[int, float],
     return verts[order], vals
 
 
-def _component_witness(domain: Domain, verts: np.ndarray,
-                       indices: np.ndarray | None = None) -> Witness | None:
-    """None if all ``verts`` share a component, else the UNREACHABLE witness
-    (first vertex, first one outside its component), the first such pair in
-    row-major order.  A :func:`build_grid` domain is connected: no sweep.
-    Reachability from the first vertex is row 0 of the memoized pair matrix
-    when that matrix is of ``verts``, and one sweep otherwise.
-    """
+def _one_component(domain: Domain, verts: np.ndarray) -> bool:
+    """Whether ``verts`` share a component, from row 0 of their memoized pair
+    matrix, else from one sweep; no sweep on a :func:`build_grid` domain."""
     if domain.grid is not None or len(verts) < 2:
-        return None
+        return True
     pairs = _memoized_pairs(domain, verts)
-    if pairs is not None:
-        reachable = pairs[0] != UNREACHABLE
-    else:
-        reachable = bfs_distances(domain, [int(verts[0])])[verts] != UNREACHABLE
-    outside = np.nonzero(~reachable)[0]
-    if outside.size == 0:
-        return None
-    b = int(outside[0])
-    gap = None if indices is None else int(abs(indices[b] - indices[0]))
-    return Witness(int(verts[0]), int(verts[b]), UNREACHABLE, gap)
+    row = pairs[0] if pairs is not None else bfs_distances(domain, [int(verts[0])])[verts]
+    return bool((row != UNREACHABLE).all())
 
 
 # lipschitz_delta's spacing for all-equal samples, relative to max(1, |value|).
@@ -238,20 +225,20 @@ def lipschitz_delta(domain: Domain, samples: Mapping[int, float]) -> float:
     with any delta >= this value yields indices whose gaps never exceed
     the hop distance.  All-equal values would give 0, which is replaced
     by ``1e-9 * max(1, |value|)`` so one level suffices.
-    Samples in different components raise InfeasibleError.  Hop distances
-    come from the grid metric on :func:`build_grid` domains, elsewhere from
-    one bit-parallel sweep per 64 samples, whose matrix also decides the
-    component rule.
+    Samples in different components raise InfeasibleError at the first
+    UNREACHABLE pair.  Hop distances come from the grid metric on
+    :func:`build_grid` domains, elsewhere from one sweep per 64 samples.
     """
     verts, vals = _sample_arrays(domain, samples)
     pairs = _pair_distances(domain, verts)
-    split = _component_witness(domain, verts)
-    if split is not None:
-        raise InfeasibleError(
-            split, f"sample vertices {split.vertex_a} and {split.vertex_b} "
-                   f"lie in different components")
     iu = np.triu_indices(len(verts), k=1)
-    star = float((np.abs(vals[iu[0]] - vals[iu[1]]) / pairs[iu]).max(initial=0.0))
+    d = pairs[iu]
+    split = np.flatnonzero(d == UNREACHABLE)
+    if split.size:
+        a, b = int(verts[iu[0][split[0]]]), int(verts[iu[1][split[0]]])
+        raise InfeasibleError(Witness(a, b, UNREACHABLE, None),
+                              f"sample vertices {a} and {b} lie in different components")
+    star = float((np.abs(vals[iu[0]] - vals[iu[1]]) / d).max(initial=0.0))
     floor = _ZERO_RANGE_FLOOR * max(1.0, float(np.abs(vals).max()))
     return star if star > 0 else floor
 
@@ -298,22 +285,19 @@ def check_feasibility(domain: Domain, guiding: GuidingSet) -> FeasibilityCheck:
     """Decide existence of a gradually varied extension by the pairwise test.
 
     Feasible iff d(x, y) >= |i - j| for every guiding pair.  On failure
-    the witness is a pair with maximal violation |i - j| - d; guiding
-    vertices in different components yield an UNREACHABLE witness instead.
-    On :func:`build_grid` domains d is the closed-form grid metric,
-    elsewhere one bit-parallel sweep per 64 guiding vertices, shared with
-    a preceding :func:`lipschitz_delta` on the same vertices and with the
-    component rule.  :func:`envelopes` agrees.
+    the witness is the first pair in row-major order with maximal violation
+    |i - j| - d, where a pair in different components (d UNREACHABLE) is
+    the worst of all: reachability is transitive, so it names the first
+    guiding vertex and the first one outside its component.  d is the grid
+    metric on :func:`build_grid` domains, elsewhere one sweep per 64
+    vertices, shared with a preceding :func:`lipschitz_delta` on them.
     """
     verts = _ids(guiding.vertices, "guiding vertex ids", domain.vertex_count)
     pairs = _pair_distances(domain, verts)
-    split = _component_witness(domain, verts, guiding.indices)
-    if split is not None:
-        return FeasibilityCheck(False, split)
     iu = np.triu_indices(len(verts), k=1)
     d = pairs[iu]
     gap = np.abs(guiding.indices[iu[0]] - guiding.indices[iu[1]])
-    violation = gap - d
+    violation = np.where(d == UNREACHABLE, np.iinfo(np.int64).max, gap - d)
     if not (violation > 0).any():
         return FeasibilityCheck(True, None)
     worst = int(np.argmax(violation))
@@ -328,7 +312,8 @@ def envelopes(domain: Domain, guiding: GuidingSet, n: int) -> EnvelopePair:
     U(p) = min(n, min_j (i_j + d(p, x_j))) and
     L(p) = max(1, max_j (i_j - d(p, x_j))), each via one multi-source
     sweep.  Guiding points that cannot reach p do not bound it there, but
-    still make the pair infeasible, as in :func:`check_feasibility`.
+    still make the pair infeasible, as in :func:`check_feasibility`, by the
+    pair matrix a check left for these vertices, else one sweep (none on grids).
     Clamping to [1, n] cannot break feasibility: guiding indices lie in
     [1, n], so U >= 1 and L <= n hold before clamping, and clamping only
     moves a bound toward the valid band without crossing the other bound.
@@ -343,7 +328,7 @@ def envelopes(domain: Domain, guiding: GuidingSet, n: int) -> EnvelopePair:
     upper = np.minimum(upper_raw, n)
     lower = np.maximum(lower_raw, 1)
     return EnvelopePair(lower=lower, upper=upper,
-                        _connected=_component_witness(domain, verts) is None)
+                        _connected=_one_component(domain, verts))
 
 
 _POLICIES = ("midpoint", "lower", "upper")

@@ -75,11 +75,11 @@ def _neighbor_sums(domain: Domain, values: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def _relax_options(max_iter, tol) -> int:
+def _relax_options(max_iter, tol, what: str = "max_iter") -> int:
     """``max_iter`` as an int, once it is a whole number >= 0 and ``tol``
     is nonnegative and finite: the checks of :func:`harmonic_relax`, which
-    a benchmark also runs before its first trial."""
-    max_iter = _count(max_iter, "max_iter", 0)
+    `fit` and a benchmark also run up front, naming ``max_iter`` ``what``."""
+    max_iter = _count(max_iter, what, 0)
     if not 0 <= tol < np.inf:
         raise ValueError("tol must be nonnegative and finite")
     return max_iter

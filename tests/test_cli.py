@@ -439,7 +439,7 @@ class TestFit:
         # run.json records these four for every method, so gvf checks them too.
         (["--power", "inf"], "power must be positive and finite"),
         (["--tol", "nan"], "tol must be nonnegative and finite"),
-        (["--iters", "-1"], "max_iter must be an integer >= 0"),
+        (["--iters", "-1"], "iters must be an integer >= 0"),
         (["--sweeps", "-1"], "sweeps must be an integer >= 0"),
         (["--method", "mls", "--weight", "gaussian:"],
          "--weight wants numbers after 'gaussian:'"),
@@ -473,6 +473,18 @@ class TestFit:
         assert rc == 0
         values = read_field_csv(out / "field.csv").values
         assert values[0] < 2.0 < values[8]
+
+    def test_merge_warning_is_one_line(self, tmp_path, capsys):
+        # The first two rows snap to vertex 4; the warning names no source line.
+        samples = tmp_path / "s.csv"
+        samples.write_text("x,y,value\n0.9,0.9,1.0\n1.1,1.1,3.0\n0,0,0\n")
+        for command in ("check", "fit"):
+            out = ["--out", str(tmp_path / "out")] if command == "fit" else []
+            assert main([command, "--grid", "3x3", "--samples", str(samples),
+                         *out]) == 0
+            assert capsys.readouterr().err == (
+                "warning: 1 sample row(s) landed on already-occupied vertices; "
+                "merged by mean\n")
 
     def test_edge_list_domain_skips_renders(self, tmp_path):
         edges = tmp_path / "g.txt"
@@ -616,6 +628,17 @@ class TestBench:
                    "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == fit_error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--points", "0"], "points must be a positive integer"),
+        (["--seed", "-1"], "seed must be an integer >= 0"),
+    ], ids=["points", "seed"])
+    def test_counts_name_their_flags(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        rc = main(["bench", "--grid", "8x8", *flags, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_leaves_options_of_other_methods_unchecked(self, tmp_path):

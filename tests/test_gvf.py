@@ -648,6 +648,30 @@ class TestComponentRule:
             lipschitz_delta(d, {5: 0.0, 4: 1.0, 2: 2.0})
         assert exc.value.witness == (2, 4, UNREACHABLE, None)
 
+    def test_unreachable_pair_outranks_any_level_violation(self):
+        # (0, 1) comes first in row-major order and violates by 4 - 1 = 3;
+        # (0, 3) and (1, 3) are unreachable, and (0, 3) is the witness.
+        d = build_graph([(0, 1), (1, 2), (3, 4)], 5)
+        g = guiding_set({0: 1, 1: 5, 3: 2}, {0: 0.0, 1: 4.0, 3: 1.0})
+        assert check_feasibility(d, g).witness == (0, 3, UNREACHABLE, 1)
+        with pytest.raises(InfeasibleError) as exc:
+            gvf_extend(d, g, LevelTable(0.0, 1.0, 5))
+        assert exc.value.witness == (0, 3, UNREACHABLE, 1)
+        with pytest.raises(InfeasibleError, match="0 and 3 lie") as exc:
+            lipschitz_delta(d, {0: 0.0, 1: 4.0, 3: 1.0})
+        assert exc.value.witness == (0, 3, UNREACHABLE, None)
+
+    @pytest.mark.parametrize("stale,guiding,feasible", [
+        ([0, 1], {0: 1, 3: 1}, False),   # the stale row 0 is all reachable
+        ([0, 3], {0: 1, 1: 1}, True),    # the stale row 0 has an UNREACHABLE
+    ])
+    def test_envelopes_ignore_a_memo_of_other_vertices(self, stale, guiding,
+                                                        feasible):
+        d = build_graph([(0, 1), (2, 3)], 4)
+        _pair_distances(d, np.array(stale))
+        g = guiding_set(guiding, {v: 0.0 for v in guiding})
+        assert envelopes(d, g, 1).feasible is feasible
+
 
 def mesh_domain(tmp_path, rng, w=7, h=6):
     """A w x h triangle mesh OBJ with random diagonals, loaded back."""

@@ -142,6 +142,12 @@ INPUT_CHECKS = {
     "run_bench-count": (
         lambda: run_bench(GridSpec(3, 3), ["affine"], ["gvf"], 1, 2.5, 0),
         "sample count must be a positive integer"),
+    "run_bench-seed": (
+        lambda: run_bench(GridSpec(3, 3), ["affine"], ["gvf"], 1, 3, -1),
+        "seed must be an integer >= 0"),
+    "run_bench-seed-whole": (
+        lambda: run_bench(GridSpec(3, 3), ["affine"], ["gvf"], 1, 3, 1.5),
+        "seed must be an integer >= 0"),
     # The other input checks.
     "GuidingSet-parallel": (
         lambda: _guiding([0, 1], [1, 1], [0.0]),
