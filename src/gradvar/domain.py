@@ -81,8 +81,11 @@ class Domain:
 
     Adjacency is stored compressed and sorted per vertex.  Symmetry,
     neighbor dedup and loop-freedom are enforced at construction, so the
-    rest of the package can rely on them.  Instances never mutate after
-    construction; all exposed arrays are read-only views.  ``grid`` is the
+    rest of the package can rely on them; on a grid the adjacency and
+    ``coords`` are instead built on first read, in closed form from
+    ``grid``, and equal what construction from the grid's edges gives.
+    Instances never change after construction (a grid's first read fills a
+    cache once); all exposed arrays are read-only views.  ``grid`` is the
     :class:`GridSpec` of a domain made by :func:`build_grid` and ``None`` on
     every other domain; renders, gradients and sample snapping read the
     raster layout from it.  ``_pair_memo`` holds the last pair-distance
@@ -95,9 +98,7 @@ class Domain:
                  "grid", "_pair_memo")
 
     def __init__(self, vertex_count: int, edges=(), coords=None):
-        n = self.vertex_count = _count(vertex_count, "vertex_count")
-        if n * n >= 1 << 63:   # the int64 edge keys below reach n * n
-            raise ValueError(f"vertex_count {n} is too large; at most 3037000499")
+        n = self._start(vertex_count, None)
 
         e = _ids(edges if isinstance(edges, np.ndarray) else list(edges),
                  "edge vertex ids")
@@ -124,8 +125,6 @@ class Domain:
         self._dir_src, self._dir_dst = np.divmod(key[first], n)
         counts = np.bincount(self._dir_src, minlength=n)
         self._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.grid = None
-        self._pair_memo = None
 
         self.coords = coords
         if coords is not None and _freeze(self, "coords", np.float64).shape != (n, 2):
@@ -134,6 +133,29 @@ class Domain:
             raise ValueError("vertex coordinates must be finite")
         for arr in (self._offsets, self._dir_src, self._dir_dst):
             arr.setflags(write=False)
+
+    def _start(self, vertex_count, grid: GridSpec | None) -> int:
+        """Set the vertex count, ``grid`` and an empty memo; return the count."""
+        n = self.vertex_count = _count(vertex_count, "vertex_count")
+        if n * n >= 1 << 63:   # the int64 edge keys of __init__ reach n * n
+            raise ValueError(f"vertex_count {n} is too large; at most 3037000499")
+        self.grid, self._pair_memo = grid, None
+        return n
+
+    def __getattr__(self, name: str):
+        # Reached only when a slot is unset: on a grid, the adjacency or
+        # coords before their first read.
+        if (name not in ("coords", "_offsets", "_dir_src", "_dir_dst")
+                or self.grid is None):
+            raise AttributeError(f"'Domain' object has no attribute {name!r}")
+        grid = self.grid
+        if name == "coords":   # (column, row) times the spacing
+            col_row = np.divmod(np.arange(self.vertex_count), grid.width)[::-1]
+            self.coords = np.stack(col_row, axis=1) * float(grid.spacing)
+            self.coords.setflags(write=False)
+        else:
+            self._offsets, self._dir_src, self._dir_dst = _grid_adjacency(grid)
+        return getattr(self, name)
 
     # -- queries ---------------------------------------------------------
 
@@ -196,27 +218,44 @@ class GridSpec:
 
 
 def build_grid(spec: GridSpec) -> Domain:
-    """Materialize a grid domain with row-major ids and embedded coords.
+    """A grid domain with row-major ids and (column, row) * spacing coords.
 
     The domain records ``spec`` as its ``grid``, so pair distances on it
     take the closed form (Manhattan for four-, Chebyshev for
-    eight-connectivity).
+    eight-connectivity), and it builds its adjacency and coords from
+    ``spec`` on first read, not here.
     """
     w, h = spec.width, spec.height
-    idx = np.arange(w * h, dtype=np.int64).reshape(h, w)
-    # (x, y) is (column, row) times the spacing; Domain rejects an overflow.
-    with np.errstate(over="ignore"):
-        coords = np.stack(np.divmod(idx.ravel(), w)[::-1], axis=1) * spec.spacing
-    parts = [
-        np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1),
-        np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1),
-    ]
-    if spec.connectivity == "eight":
-        parts.append(np.stack([idx[:-1, :-1].ravel(), idx[1:, 1:].ravel()], axis=1))
-        parts.append(np.stack([idx[:-1, 1:].ravel(), idx[1:, :-1].ravel()], axis=1))
-    domain = Domain(w * h, np.vstack(parts), coords=coords)
-    domain.grid = spec
+    domain = Domain.__new__(Domain)
+    domain._start(w * h, spec)
+    # Domain's rule on coords, judged on the largest: (max(w, h) - 1) * spacing.
+    if not np.isfinite((max(w, h) - 1) * float(spec.spacing)):
+        raise ValueError("vertex coordinates must be finite")
     return domain
+
+
+def _grid_adjacency(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, sources, targets) of the grid, read-only, as Domain builds
+    them from its edges, but without a sort: each vertex's neighbor slots,
+    in ascending id order, masked at the borders and compressed."""
+    w, h = spec.width, spec.height
+    steps = ([(-1, 0), (0, -1), (0, 1), (1, 0)] if spec.connectivity == "four" else
+             [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx])
+    inside = np.pad(np.ones((h, w), dtype=bool), 1)
+    present = np.stack([inside[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx]
+                        for dy, dx in steps], axis=2)
+    # Rows (columns) within one step of each row (column), its own included.
+    rows, cols = (1 + (np.arange(m) > 0) + (np.arange(m) < m - 1) for m in (h, w))
+    degrees = ((rows[:, None] - 1) + (cols - 1) if len(steps) == 4
+               else rows[:, None] * cols - 1).ravel()
+    offsets = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    src = np.repeat(np.arange(w * h, dtype=np.int64), degrees)
+    step_ids = np.array([dy * w + dx for dy, dx in steps], dtype=np.int64)
+    dst = np.broadcast_to(step_ids, present.shape)[present]
+    dst += src
+    for a in (offsets, src, dst):
+        a.setflags(write=False)
+    return offsets, src, dst
 
 
 def build_graph(edges: Iterable[tuple[int, int]], vertex_count: int,

@@ -135,12 +135,14 @@ class TestCheck:
         # 3.0 / 1e-300 levels are past what a float index resolves.
         (["--grid", "4x4", "--delta", "1e-300"],
          "delta 1e-300 is too small for the sample range"),
-        # 10**16 vertices: numpy's MemoryError, at once, for 71 PiB.
-        (["--grid", "100000000x100000000"], "error: Unable to allocate 71.1 PiB"),
+        # 10**16 vertices: past the vertex-count limit, refused before any
+        # per-vertex array is allocated.
+        (["--grid", "100000000x100000000"],
+         "error: vertex_count 10000000000000000 is too large; at most 3037000499"),
         (["--grid", "2x0"], "error: grid height must be a positive integer"),
     ], ids=["grid-by", "grid-letter", "spacing-inf", "spacing-nan", "delta-word",
             "delta-negative", "delta-inf", "delta-nan", "delta-tiny",
-            "grid-past-memory", "grid-zero-high"])
+            "grid-past-vertex-limit", "grid-zero-high"])
     def test_bad_values_exit_one(self, corner_samples, capsys, flags, message):
         rc = main(["check", "--samples", corner_samples, *flags])
         assert rc == 1

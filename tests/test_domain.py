@@ -146,6 +146,53 @@ class TestDomainLayout:
             assert d.grid is None
 
 
+def grid_edges(w, h, conn):
+    """Every edge of a w x h grid, by a plain scan of each vertex's forward steps."""
+    steps = [(0, 1), (1, 0)] + ([(1, 1), (1, -1)] if conn == "eight" else [])
+    return [(r * w + c, (r + dy) * w + c + dx)
+            for r in range(h) for c in range(w) for dy, dx in steps
+            if 0 <= r + dy < h and 0 <= c + dx < w]
+
+
+class TestLazyGrid:
+    """A grid's adjacency and coords, built on first read, against a Domain
+    built from the grid's edge list."""
+
+    @pytest.mark.parametrize("w,h", [(1, 1), (1, 6), (6, 1), (2, 2), (2, 5),
+                                     (7, 3), (5, 9), (16, 16)])
+    @pytest.mark.parametrize("conn", ["four", "eight"])
+    def test_matches_domain_from_edges(self, w, h, conn):
+        spacing = 0.3
+        got = build_grid(GridSpec(w, h, conn, spacing))
+        want = Domain(w * h, grid_edges(w, h, conn),
+                      coords=[[c * spacing, r * spacing]
+                              for r in range(h) for c in range(w)])
+        for attr in ("_offsets", "_dir_src", "_dir_dst", "coords"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), attr
+            assert a.tobytes() == b.tobytes(), attr
+            assert not a.flags.writeable, attr
+            assert getattr(got, attr) is a, attr   # built once, then kept
+        assert got.edge_count == want.edge_count
+        assert got.adjacency_lists() == want.adjacency_lists()
+        for v in (0, w * h // 2, w * h - 1):
+            assert got.neighbors(v).tolist() == want.neighbors(v).tolist()
+        for name in ("edge_pairs", "directed_pairs"):
+            for a, b in zip(getattr(got, name)(), getattr(want, name)()):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+    @pytest.mark.parametrize("first", ["coords", "_dir_dst"])
+    def test_either_read_first(self, first):
+        d = build_grid(GridSpec(3, 2, "eight"))
+        getattr(d, first)
+        assert d.neighbors(4).tolist() == [0, 1, 2, 3, 5]
+        assert d.coords[4].tolist() == [1.0, 1.0]
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'edge_list'"):
+            build_grid(GridSpec(2, 2)).edge_list
+
+
 class TestGridSpec:
     def test_vertex_layout_row_major(self):
         d = build_grid(GridSpec(4, 3))

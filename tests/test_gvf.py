@@ -480,6 +480,26 @@ class TestGridMetric:
         assert a.field.idx.tolist() == b.field.idx.tolist()
         assert to_scalar(a.field).values.tolist() == to_scalar(b.field).values.tolist()
 
+    def test_grid_check_builds_no_adjacency(self):
+        # Pair distances on a grid are closed-form, so the auto delta,
+        # quantization and the pairwise check read no adjacency or coords.
+        # At this size one int64 per vertex is 32 MB, and the adjacency
+        # over 500 MB.
+        n = 2048
+        rng = np.random.default_rng(3)
+        verts = rng.choice(n * n, 100, replace=False)
+        samples = dict(zip(verts.tolist(), rng.random(100).tolist()))
+        tracemalloc.start()
+        try:
+            d = build_grid(GridSpec(n, n, "eight"))
+            table, gd = quantize(d, samples, lipschitz_delta(d, samples))
+            verdict = check_feasibility(d, gd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert verdict.feasible and len(gd) == 100
+
 
 def sweep_graph(kind, rng):
     """An edge-list domain of one of the shapes the pair sweep must handle."""
