@@ -16,7 +16,7 @@ import numpy as np
 
 from .baselines import (GaussianWeight, MlsConfig, SamplePoints, ShepardConfig,
                         evaluate_on_domain)
-from .domain import Domain, GridSpec, _count, bfs_distances
+from .domain import Domain, GridSpec, _count, _edge_jumps, bfs_distances
 from .fields import ScalarField
 from .fileio import atomic_write_text
 from .gvf import LevelField, fit_gvf, to_scalar
@@ -169,8 +169,7 @@ def gvf_error_bound(truth: ScalarField, fitted: ScalarField,
                      - truth.values[sample_verts]).max())
     dist = bfs_distances(domain, sample_verts)
     radius = int(dist.max())
-    src, dst = domain.edge_pairs()
-    s = float(np.abs(truth.values[src] - truth.values[dst]).max()) if src.size else 0.0
+    s = max(float(j.max(initial=0.0)) for j in _edge_jumps(domain, truth.values))
     return q + radius * (delta + s)
 
 

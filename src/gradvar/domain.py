@@ -2,8 +2,9 @@
 
 Every fitting routine in this package runs on a finite undirected graph:
 a regular grid, an arbitrary edge-list graph, or the vertex/edge graph of
-a triangle/quad mesh.  Distances are hop counts (unweighted BFS); the
-physical grid spacing only enters derivative stencils and rendering.
+a triangle/quad mesh.  Distances are hop counts: in closed form on a grid
+(distance transforms), by unweighted BFS sweeps elsewhere; the physical
+grid spacing only enters derivative stencils and rendering.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 #: Marker for vertices no source can reach in :func:`bfs_distances`.
 UNREACHABLE = -1
 
-# Internal sentinel for the sweep engine; large but far from int64 overflow.
+# Internal sentinel of min_offset_sweep, on grids and elsewhere; large but
+# far from int64 overflow.
 _INF = 1 << 60
 
 
@@ -82,16 +84,18 @@ class Domain:
     Adjacency is stored compressed and sorted per vertex.  Symmetry,
     neighbor dedup and loop-freedom are enforced at construction, so the
     rest of the package can rely on them; on a grid the adjacency and
-    ``coords`` are instead built on first read, in closed form from
-    ``grid``, and equal what construction from the grid's edges gives.
+    ``coords`` are instead built on first read, from ``grid``, and equal
+    what construction from the grid's edges gives.
     Instances never change after construction (a grid's first read fills a
     cache once); all exposed arrays are read-only views.  ``grid`` is the
     :class:`GridSpec` of a domain made by :func:`build_grid` and ``None`` on
-    every other domain; renders, gradients and sample snapping read the
-    raster layout from it.  ``_pair_memo`` holds the last pair-distance
-    matrix the level-set code computed, as read-only (vertices, matrix), so
-    that a check at the auto delta runs its sweeps once and ``envelopes``
-    reads its component verdict from row 0; it is a cache, not the graph.
+    every other domain; distance transforms, neighbor sums, edge checks,
+    renders, gradients and sample snapping read the raster layout from it,
+    so a grid fit never builds the adjacency.  ``_pair_memo`` holds the last
+    pair-distance matrix the level-set code computed, as read-only
+    (vertices, matrix), so that a check at the auto delta runs its sweeps
+    once and ``envelopes`` reads its component verdict from row 0; it is a
+    cache, not the graph.
     """
 
     __slots__ = ("vertex_count", "coords", "_offsets", "_dir_src", "_dir_dst",
@@ -178,8 +182,8 @@ class Domain:
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) arrays with each undirected edge listed once, src < dst."""
-        mask = self._dir_src < self._dir_dst
-        return self._dir_src[mask], self._dir_dst[mask]
+        keep = np.flatnonzero(self._dir_src < self._dir_dst)
+        return self._dir_src[keep], self._dir_dst[keep]
 
     def directed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) arrays with both orientations of every edge."""
@@ -232,6 +236,17 @@ def build_grid(spec: GridSpec) -> Domain:
     if not np.isfinite((max(w, h) - 1) * float(spec.spacing)):
         raise ValueError("vertex coordinates must be finite")
     return domain
+
+
+def _grid_steps(grid: GridSpec) -> list[tuple[tuple, tuple]]:
+    """Index pairs (a, b) into a (height, width) raster, one per forward
+    neighbor step (right, down, and on eight-connected grids both down
+    diagonals), such that z[a][r, c] and z[b][r, c] are neighbors; together
+    they hold every edge once."""
+    h, w = grid.height, grid.width
+    steps = ((0, 1), (1, 0), (1, 1), (1, -1))[:4 if grid.connectivity == "eight" else 2]
+    return [(np.s_[:h - dr, max(-dc, 0):w - max(dc, 0)],
+             np.s_[dr:, max(dc, 0):w - max(-dc, 0)]) for dr, dc in steps]
 
 
 def _grid_adjacency(spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -399,6 +414,58 @@ def load_mesh(path) -> Domain:
     return Domain(n, edges, coords=xyz[:, :2])
 
 
+def _edge_jumps(domain: Domain, values: np.ndarray) -> Iterator[np.ndarray]:
+    """|values[a] - values[b]| over every edge (a, b): on a grid one array per
+    neighbor step, of shifted slices; elsewhere one array in edge_pairs order."""
+    if domain.grid is None:
+        src, dst = domain.edge_pairs()
+        yield np.abs(values[src] - values[dst])
+        return
+    z = values.reshape(domain.grid.height, domain.grid.width)
+    for a, b in _grid_steps(domain.grid):
+        jump = z[a] - z[b]
+        yield np.abs(jump, out=jump)
+
+
+def _line_transform(a: np.ndarray) -> np.ndarray:
+    """min over j of a[..., j] + |i - j|, at each i of the last axis: one
+    forward and one backward running minimum."""
+    ramp = np.arange(a.shape[-1])
+    a = np.minimum.accumulate(a - ramp, axis=-1) + 2 * ramp
+    return np.minimum.accumulate(a[..., ::-1], axis=-1)[..., ::-1] - ramp
+
+
+def _grid_transform(grid: GridSpec, seed_vertices, seed_values) -> np.ndarray:
+    """:func:`min_offset_sweep` on a grid, as a distance transform of the
+    sampled seed values in closed form (Felzenszwalb & Huttenlocher,
+    "Distance Transforms of Sampled Functions", Theory of Computing 2012).
+
+    Four-connected (L1): the 1-d transform along the rows, then the columns.
+    Eight-connected (Chebyshev): the lines of the shorter axis take their
+    1-d transform, then a scan down and a scan up sets each line to the
+    1-d transform of its minimum with the previous line's three-neighbor
+    minimum + 1.  Every vertex starts at ``_INF`` or below and is its own
+    candidate, so a minimum of ``_INF`` or more comes out as ``_INF``, as
+    the sweep leaves it.
+    """
+    h, w = grid.height, grid.width
+    dist = np.full(h * w, _INF, dtype=np.int64)
+    np.minimum.at(dist, seed_vertices, np.asarray(seed_values, dtype=np.int64))
+    dist = dist.reshape(h, w)
+    if grid.connectivity == "four":
+        return _line_transform(_line_transform(dist).T).T.ravel()
+    # Chebyshev distance is symmetric, so scan the lines of the shorter axis,
+    # padded with _INF at both ends.
+    d = np.full((min(h, w), max(h, w) + 2), _INF, dtype=np.int64)
+    d[:, 1:-1] = _line_transform(dist.T if h > w else dist)
+    for lines in (range(1, len(d)), range(len(d) - 2, -1, -1)):
+        for r in lines:
+            p = d[r - lines.step]
+            near = np.minimum(np.minimum(p[:-2], p[1:-1]), p[2:]) + 1
+            d[r, 1:-1] = _line_transform(np.minimum(d[r, 1:-1], near))
+    return (d[:, 1:-1].T if h > w else d[:, 1:-1]).ravel()
+
+
 def _gather_neighbors(offsets: np.ndarray, targets: np.ndarray,
                       frontier: np.ndarray) -> np.ndarray:
     """Concatenate the neighbor lists of every frontier vertex."""
@@ -414,10 +481,15 @@ def min_offset_sweep(domain: Domain, seed_vertices: np.ndarray,
                      seed_values: np.ndarray) -> np.ndarray:
     """Per-vertex minimum over seeds of ``seed_value + hops``.
 
-    Runs a unit-weight Dijkstra sweep finalizing whole levels at once;
-    deterministic and single-threaded.  Vertices no seed reaches keep the
-    internal ``_INF`` sentinel (callers clamp or translate it).
+    On a :func:`build_grid` domain this is a distance transform in closed
+    form, see :func:`_grid_transform`; elsewhere a unit-weight Dijkstra
+    sweep finalizing whole levels at once.  Both are deterministic and
+    single-threaded.  Vertices no seed reaches keep the internal ``_INF``
+    sentinel (callers clamp or translate it), and so does a vertex whose
+    minimum is ``_INF`` or more.
     """
+    if domain.grid is not None:
+        return _grid_transform(domain.grid, seed_vertices, seed_values)
     n = domain.vertex_count
     offsets, targets = domain._offsets, domain._dir_dst
     dist = np.full(n, _INF, dtype=np.int64)
@@ -502,7 +574,9 @@ def bfs_distances(domain: Domain, sources) -> np.ndarray:
     """Exact multi-source shortest hop counts, one per vertex, read-only.
 
     The count is 0 on every source, grows by at most 1 across any edge, and
-    is ``UNREACHABLE`` on vertices in components without a source.
+    is ``UNREACHABLE`` on vertices in components without a source.  It is
+    :func:`min_offset_sweep` from zero offsets: a distance transform on a
+    grid, a level sweep elsewhere.
     """
     src = _ids(sources if isinstance(sources, np.ndarray) else list(sources),
                "source vertex ids", domain.vertex_count)

@@ -20,13 +20,19 @@ from .gvf import LevelField, to_scalar
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
+    _atomic_write_chunks(path, (data,))
+
+
+def _atomic_write_chunks(path, chunks) -> None:
+    """Write the bytes ``chunks`` in turn to a temp file beside ``path``,
+    then rename it over ``path``; on any error the temp file goes."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import (_INF, UNREACHABLE, Domain, _count, _freeze, _ids,
-                     _multi_source_hops, bfs_distances, min_offset_sweep)
+from .domain import (_INF, UNREACHABLE, Domain, _count, _edge_jumps, _freeze,
+                     _ids, _multi_source_hops, bfs_distances, min_offset_sweep)
 from .fields import ScalarField
 
 
@@ -79,7 +79,9 @@ class LevelField:
 
     Construction verifies the defining property (adjacent indices differ
     by at most 1) and the index range, so holding a LevelField is proof
-    of validity.
+    of validity.  The check reads each edge's jump (shifted slices on a
+    grid); only a violation scans the directed pairs, to name the first
+    bad edge.
     """
 
     domain: Domain
@@ -92,8 +94,8 @@ class LevelField:
             raise ValueError("index array length must equal the domain vertex count")
         if (a < 1).any() or (a > self.table.count).any():
             raise ValueError(f"level indices must lie in 1..{self.table.count}")
-        src, dst = self.domain.directed_pairs()
-        if src.size and (np.abs(a[src] - a[dst]) > 1).any():
+        if any((jump > 1).any() for jump in _edge_jumps(self.domain, a)):
+            src, dst = self.domain.directed_pairs()
             bad = np.nonzero(np.abs(a[src] - a[dst]) > 1)[0][0]
             raise ValueError(
                 f"not gradually varied: indices jump by more than 1 across "
@@ -310,10 +312,12 @@ def envelopes(domain: Domain, guiding: GuidingSet, n: int) -> EnvelopePair:
     """Per-vertex tightest level bounds induced by the guiding points.
 
     U(p) = min(n, min_j (i_j + d(p, x_j))) and
-    L(p) = max(1, max_j (i_j - d(p, x_j))), each via one multi-source
-    sweep.  Guiding points that cannot reach p do not bound it there, but
-    still make the pair infeasible, as in :func:`check_feasibility`, by the
-    pair matrix a check left for these vertices, else one sweep (none on grids).
+    L(p) = max(1, max_j (i_j - d(p, x_j))), each one
+    :func:`min_offset_sweep`: a closed-form distance transform on a grid,
+    a multi-source sweep elsewhere.  Guiding points that cannot reach p do
+    not bound it there, but still make the pair infeasible, as in
+    :func:`check_feasibility`, by the pair matrix a check left for these
+    vertices, else one sweep (none on grids).
     Clamping to [1, n] cannot break feasibility: guiding indices lie in
     [1, n], so U >= 1 and L <= n hold before clamping, and clamping only
     moves a bound toward the valid band without crossing the other bound.
@@ -323,10 +327,8 @@ def envelopes(domain: Domain, guiding: GuidingSet, n: int) -> EnvelopePair:
     verts = _ids(guiding.vertices, "guiding vertex ids", domain.vertex_count)
     if (guiding.indices > n).any():
         raise ValueError(f"guiding index exceeds level count {n}")
-    upper_raw = min_offset_sweep(domain, verts, guiding.indices)
-    lower_raw = -min_offset_sweep(domain, verts, -guiding.indices)
-    upper = np.minimum(upper_raw, n)
-    lower = np.maximum(lower_raw, 1)
+    upper = np.minimum(min_offset_sweep(domain, verts, guiding.indices), n)
+    lower = np.maximum(-min_offset_sweep(domain, verts, -guiding.indices), 1)
     return EnvelopePair(lower=lower, upper=upper,
                         _connected=_one_component(domain, verts))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField
-from .fileio import _distinct_cells, atomic_write_bytes, atomic_write_text
+from .fileio import _atomic_write_chunks, _distinct_cells, atomic_write_bytes
 
 
 def _grid_values(field: ScalarField):
@@ -64,21 +64,32 @@ def render_heightmesh(field: ScalarField, path) -> None:
     so a WxH grid yields W*H vertices and 2(W-1)(H-1) faces.  Floats go
     by repr; a level field's few distinct heights are formatted once per bit
     pattern (-0.0 apart from 0.0) and gathered, see :func:`_distinct_cells`.
+    The text goes out in blocks of about 2**16 vertices' rows, so a large
+    grid's OBJ is never held whole.
     """
     grid = _grid_values(field)[0]
     w, h = grid.width, grid.height
-    zs = _distinct_cells(repr, field.values.view(np.int64), field.values)
+    block = max(1, (1 << 16) // w)   # rows per chunk
     xs = [f"v {c * grid.spacing!r} " for c in range(w)]
-    rows = []
-    for r in range(h):
-        y = f"{r * grid.spacing!r} "
-        rows.append("".join([f"{x}{y}{z}\n" for x, z in zip(xs, zs[r * w:r * w + w])]))
     # Per cell: (v00, v10, v11) and (v00, v11, v01), 1-based row-major ids;
     # one %-format pass per row of cells keeps the int objects few.
-    v00 = np.arange(h - 1)[:, None] * w + np.arange(w - 1)[None, :] + 1
-    v01 = v00 + w
-    faces = np.stack([v00, v00 + 1, v01 + 1, v00, v01 + 1, v01], axis=2)
     template = "f %d %d %d\n" * (2 * (w - 1))
-    rows.extend(template % tuple(cells.tolist())
-                for cells in faces.reshape(h - 1, 6 * (w - 1)))
-    atomic_write_text(path, "".join(rows))
+
+    def chunks():
+        for lo in range(0, h, block):
+            values = field.values[lo * w:(lo + block) * w]
+            zs = _distinct_cells(repr, values.view(np.int64), values)
+            rows = []
+            for r in range(lo, min(lo + block, h)):
+                y, row = f"{r * grid.spacing!r} ", zs[(r - lo) * w:(r - lo + 1) * w]
+                rows.append("".join([f"{x}{y}{z}\n" for x, z in zip(xs, row)]))
+            yield "".join(rows).encode()
+        for lo in range(0, h - 1, block):
+            v00 = (np.arange(lo, min(lo + block, h - 1))[:, None] * w
+                   + np.arange(w - 1)[None, :] + 1)
+            v01 = v00 + w
+            faces = np.stack([v00, v00 + 1, v01 + 1, v00, v01 + 1, v01], axis=2)
+            yield "".join([template % tuple(cells.tolist())
+                           for cells in faces.reshape(len(v00), -1)]).encode()
+
+    _atomic_write_chunks(path, chunks())

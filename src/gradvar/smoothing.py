@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (UNREACHABLE, Domain, GridSpec, _count, _freeze,
-                     bfs_distances, build_grid)
+from .domain import (UNREACHABLE, Domain, GridSpec, _count, _edge_jumps,
+                     _freeze, _grid_steps, bfs_distances, build_grid)
 from .fields import ScalarField
 from .gvf import _sample_arrays, fit_gvf, to_scalar
 
@@ -58,18 +58,15 @@ def _as_domain(dom) -> Domain:
 
 def _neighbor_sums(domain: Domain, values: np.ndarray) -> np.ndarray:
     """Each vertex's sum of ``values`` over its neighbors: on a grid, the
-    (H, W) array shifted each way by each neighbor step and added up;
-    elsewhere a bincount over the directed pairs, which sums in another order."""
+    (H, W) array shifted each way by each neighbor step and added up, with
+    no adjacency built; elsewhere a bincount over the directed pairs, which
+    sums in another order."""
     grid = domain.grid
     if grid is None:
         src, dst = domain.directed_pairs()
         return np.bincount(src, weights=values[dst], minlength=domain.vertex_count)
-    h, w = grid.height, grid.width
-    z, out = values.reshape(h, w), np.zeros((h, w))
-    steps = ((0, 1), (1, 0), (1, 1), (1, -1))[:4 if grid.connectivity == "eight" else 2]
-    for dr, dc in steps:  # (r, c) in a and (r + dr, c + dc) in b are neighbors
-        a = np.s_[:h - dr, max(-dc, 0):w - max(dc, 0)]
-        b = np.s_[dr:, max(dc, 0):w - max(-dc, 0)]
+    z, out = values.reshape(grid.height, grid.width), np.zeros((grid.height, grid.width))
+    for a, b in _grid_steps(grid):
         out[a] += z[b]
         out[b] += z[a]
     return out.ravel()
@@ -108,7 +105,7 @@ def harmonic_relax(field: ScalarField, fixed: Mapping[int, float],
     box = np.concatenate([fixed_vals, values[free]])
     values[fixed_verts] = fixed_vals
     solve = free & (bfs_distances(domain, fixed_verts) != UNREACHABLE)
-    deg = np.where(solve, domain.degrees, 1).astype(np.float64)
+    deg = np.where(solve, _neighbor_sums(domain, np.ones(len(values))), 1.0)
 
     def laplacian(x):
         return np.where(solve, deg * x - _neighbor_sums(domain, x), 0.0)
@@ -162,15 +159,15 @@ def total_variation(field) -> float:
     """Sum of absolute value differences over all edges.
 
     Accepts a ScalarField or a GradientField; for gradients the two
-    components' variations are added.  Used as a smoothness proxy.
+    components' variations are added.  Used as a smoothness proxy.  On a
+    grid each neighbor step's differences are summed apart, from shifted
+    slices, so the sum may differ in its last bits from one in edge order.
     """
     if isinstance(field, GradientField):
-        src, dst = field.domain.edge_pairs()
-        return float(np.abs(field.gx[src] - field.gx[dst]).sum()
-                     + np.abs(field.gy[src] - field.gy[dst]).sum())
+        return float(sum(j.sum() for j in _edge_jumps(field.domain, field.gx))
+                     + sum(j.sum() for j in _edge_jumps(field.domain, field.gy)))
     if isinstance(field, ScalarField):
-        src, dst = field.domain.edge_pairs()
-        return float(np.abs(field.values[src] - field.values[dst]).sum())
+        return float(sum(j.sum() for j in _edge_jumps(field.domain, field.values)))
     raise TypeError("total_variation expects a ScalarField or GradientField")
 
 
@@ -187,7 +184,7 @@ def _taylor_blend(domain: Domain, coords: np.ndarray, values: np.ndarray,
     on the gradient, so each sweep costs one neighbor-sum of the values.
     """
     x, y = coords[:, 0], coords[:, 1]
-    deg = domain.degrees.astype(np.float64)
+    deg = _neighbor_sums(domain, np.ones(len(values)))
     a_gx = _neighbor_sums(domain, gx)
     a_gxx = _neighbor_sums(domain, gx * x)
     a_gy = _neighbor_sums(domain, gy)

@@ -72,6 +72,23 @@ def python_bfs(adjacency: list[list[int]], sources) -> list[int]:
     return dist
 
 
+def oracle_grid_transform(width: int, height: int, connectivity: str,
+                          seeds, values) -> list[int]:
+    """min over seeds of (value + grid distance) at every row-major vertex,
+    by brute force over all seeds in Python ints: the distance is Manhattan
+    on (row, column) for "four", Chebyshev for "eight"."""
+    out = []
+    for v in range(width * height):
+        r, c = divmod(v, width)
+        best = None
+        for s, value in zip(seeds, values):
+            dr, dc = abs(r - s // width), abs(c - s % width)
+            cand = int(value) + (dr + dc if connectivity == "four" else max(dr, dc))
+            best = cand if best is None else min(best, cand)
+        out.append(best)
+    return out
+
+
 def component_graph(rng, sizes):
     """A random edge-list graph of connected pieces of the given sizes.
 

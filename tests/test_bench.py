@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gradvar import (GaussianWeight, GridSpec, MlsConfig, SamplePoints,
-                     ShepardConfig, build_graph, build_grid, compute_metrics,
+                     ScalarField, ShepardConfig, build_graph, build_grid, compute_metrics,
                      evaluate_on_domain, fit_gvf, harmonic_relax,
                      smooth_reconstruct, to_scalar)
 from gradvar.bench import (GENERATORS, METHODS, POINTWISE, fit_method,
@@ -51,6 +51,20 @@ def test_rows_equal_direct_library_calls():
             (m.rmse, m.max_abs_error, m.tv_gradient), (row.generator, row.method)
         assert row.fallback_count == fallbacks
         assert row.gvf_error_bound == bound
+
+
+@pytest.mark.parametrize("connectivity", ["four", "eight"])
+def test_error_bound_on_grid_equals_edge_list(connectivity):
+    # On a grid the largest truth jump comes from shifted slices, and the
+    # covering radius from a distance transform.
+    domain = build_grid(GridSpec(11, 8, connectivity))
+    graph = build_graph(list(domain.edges()), domain.vertex_count)
+    case = make_case("sinusoid", domain, 3, 0, 7)
+    fit = fit_gvf(domain, case.sample_map)
+    bounds = [gvf_error_bound(ScalarField(domain=d, values=case.truth.values),
+                              ScalarField(domain=d, values=to_scalar(fit.field).values),
+                              case.sample_verts, fit.delta) for d in (domain, graph)]
+    assert bounds[0] == bounds[1] > 0
 
 
 def test_grid_domain_gives_the_grid_spec_rows():

@@ -4,8 +4,9 @@ from hypothesis import given, strategies as st
 
 from gradvar import (UNREACHABLE, Domain, GridSpec, bfs_distances, build_graph,
                      build_grid, load_mesh)
+from gradvar.domain import _INF, min_offset_sweep
 
-from checks import python_bfs
+from checks import oracle_grid_transform, python_bfs
 
 
 def path_domain(n):
@@ -304,6 +305,60 @@ class TestBfs:
         dist = bfs_distances(d, [pick % d.vertex_count])
         for a, b in d.edges():
             assert abs(dist[a] - dist[b]) <= 1
+
+
+def seed_case(kind, w, h):
+    """(seed vertices, seed values) of a named layout on a w x h grid."""
+    last, mid = w * h - 1, (h // 2) * w + w // 2
+    if kind == "corners":
+        return [0, w - 1, last - w + 1, last], [3, -2, 0, 5]
+    if kind == "edges":   # the middle of each side
+        return [w // 2, (h // 2) * w, (h // 2) * w + w - 1, last - w // 2], [4, 1, 6, 2]
+    if kind == "duplicates":
+        return [mid, mid, 0, mid], [4, 1, 9, 7]
+    if kind == "single":
+        return [mid], [7]
+    if kind == "negative":
+        return [0, mid, last], [-40, -3, -17]
+    # At the sweep sentinel and past it, and just below it, as its neighbors reach it.
+    return [0, mid, last], [_INF, _INF + 3, _INF - 2]
+
+
+class TestGridTransform:
+    """On a grid, min_offset_sweep is a closed-form distance transform; it must
+    equal a brute-force minimum over seeds and the level sweep on the same
+    graph given as an edge list."""
+
+    @pytest.mark.parametrize("w,h", [(1, 1), (1, 7), (7, 1), (2, 2), (5, 3),
+                                     (3, 8), (9, 9), (16, 5)])
+    @pytest.mark.parametrize("conn", ["four", "eight"])
+    @pytest.mark.parametrize("kind", ["corners", "edges", "duplicates", "single",
+                                      "negative", "sentinel"])
+    def test_matches_oracle_and_sweep(self, w, h, conn, kind):
+        seeds, values = seed_case(kind, w, h)
+        seeds = np.array(seeds, dtype=np.int64)
+        values = np.array(values, dtype=np.int64)
+        grid = build_grid(GridSpec(w, h, conn))
+        graph = Domain(w * h, grid_edges(w, h, conn))
+        assert graph.grid is None
+        got = min_offset_sweep(grid, seeds, values)
+        assert got.dtype == np.int64 and got.shape == (w * h,)
+        want = [min(v, _INF) for v in oracle_grid_transform(w, h, conn, seeds, values)]
+        assert got.tolist() == want
+        assert min_offset_sweep(graph, seeds, values).tolist() == want
+
+    @pytest.mark.parametrize("conn", ["four", "eight"])
+    def test_random_seeds_match_sweep(self, conn):
+        rng = np.random.default_rng(len(conn))
+        for _ in range(40):
+            w, h = (int(x) for x in rng.integers(1, 24, size=2))
+            k = int(rng.integers(1, min(w * h, 30) + 1))
+            seeds = rng.integers(0, w * h, size=k)
+            values = rng.integers(-40, 40, size=k)
+            graph = Domain(w * h, grid_edges(w, h, conn))
+            got = min_offset_sweep(build_grid(GridSpec(w, h, conn)), seeds, values)
+            assert got.tolist() == min_offset_sweep(graph, seeds, values).tolist()
+            assert got.tolist() == oracle_grid_transform(w, h, conn, seeds, values)
 
 
 class TestLoadMesh:

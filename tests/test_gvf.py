@@ -10,9 +10,12 @@ from gradvar import (UNREACHABLE, GridSpec, GuidingSet, InfeasibleError,
                      gvf_extend, lipschitz_delta, load_mesh, quantize,
                      to_scalar)
 
-from gradvar import gvf
+from gradvar import domain as domain_module, gvf
+from gradvar.cli import main
 from gradvar.domain import _multi_source_hops
+from gradvar.fileio import write_scalar_csv
 from gradvar.gvf import _pair_distances
+from gradvar.metrics import _tv_gradient
 
 from checks import (component_graph, gradual_variation_ok, guiding_set,
                     python_bfs)
@@ -343,6 +346,85 @@ class TestLevelField:
             LevelField(domain=path_domain(3), idx=[1.5, 1.9, 2.9], table=t)
         assert LevelField(domain=path_domain(3), idx=[1.0, 2.0, 3.0],
                           table=t).idx.tolist() == [1, 2, 3]
+
+
+def grid_and_graph(w, h, conn):
+    """A w x h grid domain and the same graph built from its edge list."""
+    grid = build_grid(GridSpec(w, h, conn))
+    return grid, build_graph(list(grid.edges()), w * h)
+
+
+class TestLevelFieldOnGrids:
+    """On a grid the gradual-variation check reads shifted slices; a
+    violation still raises naming the edge the adjacency scan names."""
+
+    @pytest.mark.parametrize("where", ["diagonal", "last-row", "last-column"])
+    @pytest.mark.parametrize("w,h", [(5, 4), (2, 3), (6, 6)])
+    def test_jump_by_two_names_the_same_edge(self, where, w, h):
+        conn = "eight" if where == "diagonal" else "four"
+        rows, cols = np.divmod(np.arange(w * h), w)
+        if where == "diagonal":   # axis steps change by 1, down-right steps by 2
+            idx = rows + cols + 1
+        else:
+            idx = np.full(w * h, 2)
+            idx[(h - 1) * w + w // 2 if where == "last-row" else (h // 2) * w + w - 1] = 4
+        table = LevelTable(base=0.0, delta=1.0, count=w + h)
+        messages = []
+        for d in grid_and_graph(w, h, conn):
+            with pytest.raises(ValueError, match="not gradually varied") as err:
+                LevelField(domain=d, idx=idx, table=table)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+def refuse_adjacency(spec):
+    raise AssertionError("a grid fit built the adjacency")
+
+
+class TestGridFitBuildsNoAdjacency:
+    """A grid fit reads neighbors through shifted slices and distance
+    transforms only, so it never builds the CSR adjacency."""
+
+    @pytest.mark.parametrize("conn", ["4", "8"])
+    @pytest.mark.parametrize("method", [["gvf"], ["harmonic"],
+                                        ["smooth", "--order", "2"],
+                                        ["mls", "--weight", "gaussian:4"], ["shepard"]])
+    def test_cli_fit_with_truth(self, tmp_path, monkeypatch, conn, method):
+        w, h = 13, 10
+        d = build_grid(GridSpec(w, h))
+        x, y = d.coords[:, 0], d.coords[:, 1]
+        truth = np.sin(x / 3) + np.cos(y / 4)
+        write_scalar_csv(tmp_path / "truth.csv", truth)
+        verts = np.random.default_rng(4).choice(w * h, 14, replace=False)
+        (tmp_path / "s.csv").write_text("vertex,value\n" + "".join(
+            f"{v},{truth[v].item()!r}\n" for v in verts.tolist()))
+        monkeypatch.setattr(domain_module, "_grid_adjacency", refuse_adjacency)
+        with pytest.raises(AssertionError, match="built the adjacency"):
+            build_grid(GridSpec(3, 3)).directed_pairs()   # the patch is live
+        out = tmp_path / "out"
+        rc = main(["fit", "--grid", f"{w}x{h}", "--connectivity", conn,
+                   "--samples", str(tmp_path / "s.csv"),
+                   "--truth", str(tmp_path / "truth.csv"),
+                   "--out", str(out), "--method", *method])
+        assert rc == 0
+        assert (out / "height.obj").exists() and (out / "metrics.json").exists()
+
+    def test_large_fit_peak_memory(self):
+        # 1024 x 1024, eight-connected, 100 samples: one int64 per vertex is
+        # 8 MB, and the adjacency (8.4M directed edges, two int64 each) 134 MB.
+        n = 1024
+        rng = np.random.default_rng(5)
+        verts = rng.choice(n * n, 100, replace=False)
+        samples = dict(zip(verts.tolist(), rng.random(100).tolist()))
+        tracemalloc.start()
+        try:
+            d = build_grid(GridSpec(n, n, "eight"))
+            tv = _tv_gradient(to_scalar(fit_gvf(d, samples).field))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, peak
+        assert tv > 0
 
 
 class TestToScalar:

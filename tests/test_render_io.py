@@ -187,6 +187,25 @@ class TestHeightmesh:
         text = (tmp_path / "m.obj").read_text()
         assert " -0.0\n" in text and " 0.0\n" in text
 
+    @pytest.mark.parametrize("values", ["random", "levels", "mixed"])
+    @pytest.mark.parametrize("grid", [
+        GridSpec(300, 230, spacing=0.3), GridSpec(2000, 70), GridSpec(70000, 2)],
+        ids=str)
+    def test_row_blocks_match_per_vertex_loop(self, tmp_path, grid, values):
+        # The OBJ goes out in blocks of 2**16 // width rows (one row when the
+        # width is larger), each with its own distinct heights: 300 x 230 is
+        # blocks of 218 rows and a partial one, 2000 x 70 three blocks,
+        # 70000 x 2 two blocks of one row.  "mixed" has mostly distinct
+        # heights in the first block and few in the rest.
+        n = grid.width * grid.height
+        rng = np.random.default_rng(n)
+        z = rng.normal(0, 1e3, size=n) / 7
+        if values != "random":
+            levels = np.array([-0.0, 0.0, 0.1 + 0.2, -1.5, 5e-324, 1e300])
+            start = max(1, (1 << 16) // grid.width) * grid.width if values == "mixed" else 0
+            z[start:] = levels[rng.integers(0, len(levels), size=n - start)]
+        self._assert_oracle_bytes(tmp_path, grid, z)
+
     @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
     @pytest.mark.parametrize("shape", [(8, 5), (1, 40), (40, 1)], ids=str)
     def test_distinct_count_around_the_cutoff(self, tmp_path, shape, extra):

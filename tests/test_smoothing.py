@@ -215,6 +215,8 @@ class TestGridNeighborSums:
         assert (np.abs(got - want) <= bound).all()
         ones = _neighbor_sums(grid, np.ones(w * h))
         assert ones.tolist() == grid.degrees.astype(np.float64).tolist()
+        # harmonic_relax and _taylor_blend take degrees as sums of ones.
+        assert _neighbor_sums(graph, np.ones(w * h)).tolist() == ones.tolist()
 
 
 class TestDiscreteGradient:
@@ -296,6 +298,19 @@ class TestTotalVariation:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             total_variation([1, 2, 3])
+
+    @pytest.mark.parametrize("w,h", [(1, 1), (1, 6), (6, 1), (5, 4), (9, 9)])
+    @pytest.mark.parametrize("connectivity", ["four", "eight"])
+    def test_grid_slices_match_edge_list(self, w, h, connectivity):
+        # Per neighbor step on a grid, in edge order elsewhere: the same
+        # terms, summed in another order.
+        grid = build_grid(GridSpec(w, h, connectivity))
+        graph = build_graph(list(grid.edges()), w * h)
+        v, gx, gy = np.random.default_rng(w * h).normal(size=(3, w * h))
+        for make in (lambda d: ScalarField(domain=d, values=v),
+                     lambda d: GradientField(domain=d, gx=gx, gy=gy)):
+            want = total_variation(make(graph))
+            assert total_variation(make(grid)) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 class TestSmoothReconstruct:
