@@ -9,7 +9,7 @@ numbers in the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -112,11 +112,8 @@ def _sample_vertices(name: str, grid: GridSpec, rng: np.random.Generator,
             verts.extend(int(r) * w + cols)
         return np.unique(np.array(verts, dtype=np.int64))
     if name == "boundary-ring":
-        top = np.arange(w)
-        bottom = (h - 1) * w + np.arange(w)
-        left = np.arange(1, h - 1) * w
-        right = np.arange(1, h - 1) * w + (w - 1)
-        ring = np.unique(np.concatenate([top, bottom, left, right]))
+        rows, cols = np.divmod(np.arange(w * h), w)
+        ring = np.flatnonzero((rows == 0) | (rows == h - 1) | (cols == 0) | (cols == w - 1))
         if count >= len(ring):
             return ring
         pick = np.linspace(0, len(ring) - 1, num=count).astype(np.int64)
@@ -186,17 +183,14 @@ class BenchRow:
     error: str
 
     def csv(self) -> str:
-        def num(v):
-            return "" if v is None else repr(v)
-        return ",".join([str(self.trial), self.generator, self.method,
-                         num(self.rmse), num(self.max_abs_error),
-                         num(self.tv_gradient), str(self.fallback_count),
-                         num(self.gvf_error_bound),
-                         self.error.replace(",", ";")])
+        """The fields in order: floats by repr, None as an empty cell, and
+        commas in text as semicolons."""
+        return ",".join("" if v is None else repr(v) if isinstance(v, float)
+                        else str(v).replace(",", ";")
+                        for v in (getattr(self, f.name) for f in fields(self)))
 
 
-CSV_HEADER = ("trial,generator,method,rmse,max_abs_error,tv_gradient,"
-              "fallback_count,gvf_error_bound,error")
+CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 def run_bench(dom, generators, methods, trials: int, count: int,

@@ -92,10 +92,10 @@ class Domain:
     every other domain; distance transforms, neighbor sums, edge checks,
     renders, gradients and sample snapping read the raster layout from it,
     so a grid fit never builds the adjacency.  ``_pair_memo`` holds the last
-    pair-distance matrix the level-set code computed, as read-only
-    (vertices, matrix), so that a check at the auto delta runs its sweeps
-    once and ``envelopes`` reads its component verdict from row 0; it is a
-    cache, not the graph.
+    matrix :func:`_pair_distances` computed, as read-only (vertices,
+    matrix), so that a check at the auto delta runs its sweeps once and
+    :func:`_one_component` reads its verdict from row 0; it is a cache, not
+    the graph, and only this module reads or writes it.
     """
 
     __slots__ = ("vertex_count", "coords", "_offsets", "_dir_src", "_dir_dst",
@@ -466,17 +466,6 @@ def _grid_transform(grid: GridSpec, seed_vertices, seed_values) -> np.ndarray:
     return (d[:, 1:-1].T if h > w else d[:, 1:-1]).ravel()
 
 
-def _gather_neighbors(offsets: np.ndarray, targets: np.ndarray,
-                      frontier: np.ndarray) -> np.ndarray:
-    """Concatenate the neighbor lists of every frontier vertex."""
-    starts = offsets[frontier]
-    counts = offsets[frontier + 1] - starts
-    total = int(counts.sum())
-    shift = np.cumsum(counts) - counts
-    idx = np.repeat(starts - shift, counts) + np.arange(total)
-    return targets[idx]
-
-
 def min_offset_sweep(domain: Domain, seed_vertices: np.ndarray,
                      seed_values: np.ndarray) -> np.ndarray:
     """Per-vertex minimum over seeds of ``seed_value + hops``.
@@ -497,14 +486,16 @@ def min_offset_sweep(domain: Domain, seed_vertices: np.ndarray,
     finalized = np.zeros(n, dtype=bool)
     while True:
         open_mask = ~finalized
-        if not open_mask.any():
-            break
-        level = dist[open_mask].min()
+        level = dist[open_mask].min(initial=_INF)
         if level >= _INF:
             break
         frontier = np.nonzero(open_mask & (dist == level))[0]
         finalized[frontier] = True
-        neigh = _gather_neighbors(offsets, targets, frontier)
+        # The frontier's neighbor lists, concatenated.
+        starts = offsets[frontier]
+        counts = offsets[frontier + 1] - starts
+        shift = np.cumsum(counts) - counts
+        neigh = targets[np.repeat(starts - shift, counts) + np.arange(int(counts.sum()))]
         relax = neigh[dist[neigh] > level + 1]
         dist[relax] = level + 1
     return dist
@@ -570,6 +561,30 @@ def _multi_source_hops(domain: Domain, vertices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_distances(domain: Domain, vertices: np.ndarray) -> np.ndarray:
+    """Hop distances between the listed vertices, UNREACHABLE off-component:
+    on a :func:`build_grid` domain in closed form on (row, col), Manhattan
+    for four-connectivity and Chebyshev for eight, with no sweep; elsewhere
+    by :func:`_multi_source_hops`.  The domain keeps the last matrix,
+    read-only, so a second call with the same vertices computes nothing."""
+    memo = domain._pair_memo
+    if memo is not None and np.array_equal(memo[0], vertices):
+        return memo[1]
+    grid = domain.grid
+    if grid is not None:
+        rows, cols = np.divmod(vertices, grid.width)
+        dr = np.abs(rows[:, None] - rows[None, :])
+        dc = np.abs(cols[:, None] - cols[None, :])
+        out = dr + dc if grid.connectivity == "four" else np.maximum(dr, dc)
+    else:
+        out = _multi_source_hops(domain, vertices)
+    key = np.array(vertices, dtype=np.int64)
+    for arr in (key, out):
+        arr.setflags(write=False)
+    domain._pair_memo = (key, out)
+    return out
+
+
 def bfs_distances(domain: Domain, sources) -> np.ndarray:
     """Exact multi-source shortest hop counts, one per vertex, read-only.
 
@@ -586,3 +601,15 @@ def bfs_distances(domain: Domain, sources) -> np.ndarray:
     dist = np.where(dist >= _INF, np.int64(UNREACHABLE), dist)
     dist.setflags(write=False)
     return dist
+
+
+def _one_component(domain: Domain, verts: np.ndarray) -> bool:
+    """Whether ``verts`` share a component: always on a :func:`build_grid`
+    domain; elsewhere from row 0 of the matrix :func:`_pair_distances` kept
+    for these vertices, else from one :func:`bfs_distances` sweep."""
+    if domain.grid is not None or len(verts) < 2:
+        return True
+    memo = domain._pair_memo
+    kept = memo is not None and np.array_equal(memo[0], verts)
+    row = memo[1][0] if kept else bfs_distances(domain, [int(verts[0])])[verts]
+    return bool((row != UNREACHABLE).all())

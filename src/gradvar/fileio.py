@@ -135,9 +135,15 @@ def sample_coords(parsed: ParsedSamples, domain: Domain) -> np.ndarray:
     return np.column_stack([domain.coords[verts], parsed.rows[:, 1]])
 
 
-def _write_field_csv(path, header: str, rows: list[str]) -> None:
-    """The header, then the rows, one per line."""
-    atomic_write_text(path, "\n".join([header, *rows]) + "\n")
+def _write_field_csv(path, header: str, count: int, lines) -> None:
+    """The header line, then ``lines(lo, hi)``, the lines of vertices lo..hi-1,
+    for each block of 2**16 vertices in turn, so a large field's text is
+    never held whole."""
+    def chunks():
+        yield f"{header}\n".encode()
+        for lo in range(0, count, 1 << 16):
+            yield "".join(lines(lo, min(lo + (1 << 16), count))).encode()
+    _atomic_write_chunks(path, chunks())
 
 
 def _distinct_cells(fmt, keys: np.ndarray, *columns: np.ndarray) -> list[str]:
@@ -158,21 +164,21 @@ def _distinct_cells(fmt, keys: np.ndarray, *columns: np.ndarray) -> list[str]:
 def write_level_csv(path, field: LevelField) -> None:
     """Export a level field as `vertex,index,value` rows.
 
-    A level field holds one value per level, so each level's `index,value`
-    is formatted (by repr) once and gathered per vertex, see
-    :func:`_distinct_cells`.
+    A level field holds one value per level, so each block's `index,value`
+    cells are formatted (by repr) once per level and gathered per vertex,
+    see :func:`_distinct_cells`.
     """
-    cells = _distinct_cells("{},{!r}".format, field.idx, field.idx,
-                            to_scalar(field).values)
-    _write_field_csv(path, "vertex,index,value",
-                     [f"{v},{c}" for v, c in enumerate(cells)])
+    idx, values = field.idx, to_scalar(field).values
+    _write_field_csv(path, "vertex,index,value", len(idx), lambda lo, hi: [
+        f"{v},{c}\n" for v, c in enumerate(_distinct_cells(
+            "{},{!r}".format, idx[lo:hi], idx[lo:hi], values[lo:hi]), lo)])
 
 
 def write_scalar_csv(path, values: np.ndarray) -> None:
     """Export per-vertex values as `vertex,value` rows."""
     values = np.asarray(values, dtype=np.float64)
-    _write_field_csv(path, "vertex,value",
-                     [f"{v},{x!r}" for v, x in enumerate(values.tolist())])
+    _write_field_csv(path, "vertex,value", len(values), lambda lo, hi: [
+        f"{v},{x!r}\n" for v, x in enumerate(values[lo:hi].tolist(), lo)])
 
 
 class FieldCsv(NamedTuple):

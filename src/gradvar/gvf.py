@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import (_INF, UNREACHABLE, Domain, _count, _edge_jumps, _freeze,
-                     _ids, _multi_source_hops, bfs_distances, min_offset_sweep)
+                     _ids, _one_component, _pair_distances, min_offset_sweep)
 from .fields import ScalarField
 
 
@@ -154,41 +154,6 @@ class InfeasibleError(ValueError):
         super().__init__(message or f"infeasible guiding data: {witness.describe()}")
 
 
-def _memoized_pairs(domain: Domain, vertices: np.ndarray) -> np.ndarray | None:
-    """The domain's last pair matrix if it is of ``vertices``, else None."""
-    memo = domain._pair_memo
-    if memo is not None and np.array_equal(memo[0], vertices):
-        return memo[1]
-    return None
-
-
-def _pair_distances(domain: Domain, vertices: np.ndarray) -> np.ndarray:
-    """Hop distances between the listed vertices, UNREACHABLE off-component.
-
-    On a :func:`build_grid` domain the hop metric has a closed form on
-    (row, col): Manhattan distance for four-connectivity, Chebyshev for
-    eight, in O(k^2) with no sweep.  Other domains run one bit-parallel
-    sweep per 64 vertices.  The domain keeps the last matrix, read-only,
-    so a second call with the same vertices computes nothing.
-    """
-    out = _memoized_pairs(domain, vertices)
-    if out is not None:
-        return out
-    grid = domain.grid
-    if grid is not None:
-        rows, cols = np.divmod(vertices, grid.width)
-        dr = np.abs(rows[:, None] - rows[None, :])
-        dc = np.abs(cols[:, None] - cols[None, :])
-        out = dr + dc if grid.connectivity == "four" else np.maximum(dr, dc)
-    else:
-        out = _multi_source_hops(domain, vertices)
-    key = np.array(vertices, dtype=np.int64)
-    for arr in (key, out):
-        arr.setflags(write=False)
-    domain._pair_memo = (key, out)
-    return out
-
-
 def _sample_arrays(domain: Domain, samples: Mapping[int, float],
                    kind: str = "sample") -> tuple[np.ndarray, np.ndarray]:
     """Validated (vertices, values) arrays of a vertex -> value map, by vertex."""
@@ -200,16 +165,6 @@ def _sample_arrays(domain: Domain, samples: Mapping[int, float],
     if not np.isfinite(vals).all():
         raise ValueError(f"{kind} values must be finite")
     return verts[order], vals
-
-
-def _one_component(domain: Domain, verts: np.ndarray) -> bool:
-    """Whether ``verts`` share a component, from row 0 of their memoized pair
-    matrix, else from one sweep; no sweep on a :func:`build_grid` domain."""
-    if domain.grid is not None or len(verts) < 2:
-        return True
-    pairs = _memoized_pairs(domain, verts)
-    row = pairs[0] if pairs is not None else bfs_distances(domain, [int(verts[0])])[verts]
-    return bool((row != UNREACHABLE).all())
 
 
 # lipschitz_delta's spacing for all-equal samples, relative to max(1, |value|).
@@ -228,8 +183,8 @@ def lipschitz_delta(domain: Domain, samples: Mapping[int, float]) -> float:
     the hop distance.  All-equal values would give 0, which is replaced
     by ``1e-9 * max(1, |value|)`` so one level suffices.
     Samples in different components raise InfeasibleError at the first
-    UNREACHABLE pair.  Hop distances come from the grid metric on
-    :func:`build_grid` domains, elsewhere from one sweep per 64 samples.
+    UNREACHABLE pair.  Hop distances come from the domain's
+    :func:`~gradvar.domain._pair_distances`, kept for a later check.
     """
     verts, vals = _sample_arrays(domain, samples)
     pairs = _pair_distances(domain, verts)
@@ -290,9 +245,9 @@ def check_feasibility(domain: Domain, guiding: GuidingSet) -> FeasibilityCheck:
     the witness is the first pair in row-major order with maximal violation
     |i - j| - d, where a pair in different components (d UNREACHABLE) is
     the worst of all: reachability is transitive, so it names the first
-    guiding vertex and the first one outside its component.  d is the grid
-    metric on :func:`build_grid` domains, elsewhere one sweep per 64
-    vertices, shared with a preceding :func:`lipschitz_delta` on them.
+    guiding vertex and the first one outside its component.  d comes from
+    :func:`~gradvar.domain._pair_distances`, the matrix a preceding
+    :func:`lipschitz_delta` on these vertices left, if it ran.
     """
     verts = _ids(guiding.vertices, "guiding vertex ids", domain.vertex_count)
     pairs = _pair_distances(domain, verts)
@@ -316,8 +271,8 @@ def envelopes(domain: Domain, guiding: GuidingSet, n: int) -> EnvelopePair:
     :func:`min_offset_sweep`: a closed-form distance transform on a grid,
     a multi-source sweep elsewhere.  Guiding points that cannot reach p do
     not bound it there, but still make the pair infeasible, as in
-    :func:`check_feasibility`, by the pair matrix a check left for these
-    vertices, else one sweep (none on grids).
+    :func:`check_feasibility`; :func:`~gradvar.domain._one_component` gives
+    that verdict, from a kept pair matrix or one sweep (none on grids).
     Clamping to [1, n] cannot break feasibility: guiding indices lie in
     [1, n], so U >= 1 and L <= n hold before clamping, and clamping only
     moves a bound toward the valid band without crossing the other bound.

@@ -230,10 +230,6 @@ def smooth_reconstruct(dom, samples: Mapping[int, float], order: int = 1,
     sample_vals = fit.guiding.raw_values
     values = np.array(to_scalar(fit.field).values)
     values[sample_verts] = sample_vals
-    if order == 0:
-        return ScalarField(domain=domain, values=values)
-
-    coords = domain.coords
     for _ in range(order):
         field = ScalarField(domain=domain, values=values)
         grad = discrete_gradient(field, domain.grid)
@@ -241,6 +237,6 @@ def smooth_reconstruct(dom, samples: Mapping[int, float], order: int = 1,
         gy_fit = fit_gvf(domain, {int(v): float(grad.gy[v]) for v in sample_verts})
         gx_s = to_scalar(gx_fit.field).values
         gy_s = to_scalar(gy_fit.field).values
-        values = _taylor_blend(domain, coords, values, gx_s, gy_s,
+        values = _taylor_blend(domain, domain.coords, values, gx_s, gy_s,
                                sample_verts, sample_vals, sweeps)
     return ScalarField(domain=domain, values=values)

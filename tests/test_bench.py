@@ -67,6 +67,19 @@ def test_error_bound_on_grid_equals_edge_list(connectivity):
     assert bounds[0] == bounds[1] > 0
 
 
+@pytest.mark.parametrize("width,height", [(1, 1), (1, 5), (5, 1), (2, 2), (7, 3)])
+def test_boundary_ring_is_the_raster_border(width, height):
+    domain = build_grid(GridSpec(width, height))
+    ring = [r * width + c for r in range(height) for c in range(width)
+            if r in (0, height - 1) or c in (0, width - 1)]
+    case = make_case("boundary-ring", domain, 2, 0, len(ring) + 3)
+    assert case.sample_verts.tolist() == ring
+    for count in range(1, len(ring)):
+        picks = make_case("boundary-ring", domain, 2, 0, count).sample_verts
+        spread = np.linspace(0, len(ring) - 1, num=count).astype(np.int64)
+        assert picks.tolist() == [ring[i] for i in sorted(set(spread.tolist()))]
+
+
 def test_grid_domain_gives_the_grid_spec_rows():
     grid = GridSpec(9, 7, "eight", 0.5)
     args = (("affine", "boundary-ring"), METHODS)

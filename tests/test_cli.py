@@ -169,14 +169,14 @@ class TestCheck:
 
     def test_auto_delta_on_mesh_computes_pair_distances_once(self, tmp_path,
                                                             monkeypatch, capsys):
-        import gradvar.gvf
+        import gradvar.domain
         calls = []
 
-        def counting(domain, vertices, sweep=gradvar.gvf._multi_source_hops):
+        def counting(domain, vertices, sweep=gradvar.domain._multi_source_hops):
             calls.append(len(vertices))
             return sweep(domain, vertices)
 
-        monkeypatch.setattr(gradvar.gvf, "_multi_source_hops", counting)
+        monkeypatch.setattr(gradvar.domain, "_multi_source_hops", counting)
         mesh = tmp_path / "m.obj"
         mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\n"
                         "f 1 2 3\nf 2 4 3\n")
@@ -189,14 +189,14 @@ class TestCheck:
 
     def test_mesh_component_rule_reads_the_pair_matrix(self, tmp_path,
                                                         monkeypatch, capsys):
-        import gradvar.gvf
+        import gradvar.domain
         calls = []
 
-        def counting(domain, sources, sweep=gradvar.gvf.bfs_distances):
+        def counting(domain, sources, sweep=gradvar.domain.bfs_distances):
             calls.append(list(sources))
             return sweep(domain, sources)
 
-        monkeypatch.setattr(gradvar.gvf, "bfs_distances", counting)
+        monkeypatch.setattr(gradvar.domain, "bfs_distances", counting)
         mesh = tmp_path / "m.obj"
         mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\n"
                         "f 1 2 3\nf 2 4 3\n")

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,45 @@ class TestFieldCsv:
             rows = [f"{v},{i},{base + (i - 1) * delta!r}"
                     for v, i in enumerate(idx.tolist())]
             assert p.read_text() == "\n".join(["vertex,index,value", *rows]) + "\n"
+
+    @pytest.mark.parametrize("width,height", [(300, 230), (70000, 2), (256, 256)],
+                             ids=["two-blocks", "three-blocks", "one-full-block"])
+    def test_multi_block_csvs_match_row_formula(self, tmp_path, width, height):
+        # The writers go out in blocks of 2**16 rows; 256 x 256 is one full
+        # block.  70000 levels in a row make the first blocks mostly
+        # distinct, and 300 x 230 has a few hundred levels per block.
+        d = build_grid(GridSpec(width, height))
+        r, c = np.divmod(np.arange(width * height), width)
+        idx = r + c + 1
+        base, delta = -0.3, 0.1
+        table = LevelTable(base=base, delta=delta, count=int(idx.max()))
+        p = tmp_path / "f.csv"
+        write_level_csv(p, LevelField(domain=d, idx=idx, table=table))
+        rows = [f"{v},{i},{base + (i - 1) * delta!r}" for v, i in enumerate(idx.tolist())]
+        assert p.read_bytes() == ("\n".join(["vertex,index,value", *rows]) + "\n").encode()
+        vals = np.random.default_rng(width).normal(size=width * height)
+        vals[::7] = -0.0
+        write_scalar_csv(p, vals)
+        rows = [f"{v},{x!r}" for v, x in enumerate(vals.tolist())]
+        assert p.read_bytes() == ("\n".join(["vertex,value", *rows]) + "\n").encode()
+
+    def test_field_csvs_of_a_large_grid_are_streamed(self, tmp_path):
+        # Whole, the text of a 1024 x 1024 field takes well over 100 MB to
+        # build; in blocks of 2**16 rows each writer stays under 32 MB.
+        side = 1024
+        r, c = np.divmod(np.arange(side * side), side)
+        field = LevelField(domain=build_grid(GridSpec(side, side)), idx=(r + c) // 8 + 1,
+                           table=LevelTable(base=0.5, delta=0.25, count=256))
+        values = np.random.default_rng(1).normal(size=side * side)
+        for write in (lambda p: write_level_csv(p, field),
+                      lambda p: write_scalar_csv(p, values)):
+            tracemalloc.start()
+            try:
+                write(tmp_path / "f.csv")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 << 20
 
     def test_comment_lines_accepted(self, tmp_path):
         p = tmp_path / "f.csv"
