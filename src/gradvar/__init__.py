@@ -14,10 +14,10 @@ from .baselines import (DomainFit, GaussianWeight, InversePowerWeight,
 from .domain import (UNREACHABLE, Domain, GridSpec,
                      bfs_distances, build_graph, build_grid, load_mesh)
 from .fields import ScalarField
-from .fileio import (FieldCsv, ParsedSamples, atomic_write_bytes,
-                     atomic_write_text, read_edge_list, read_field_csv,
-                     read_samples_csv, sample_coords, snap_to_vertices,
-                     write_level_csv, write_metrics_json, write_scalar_csv)
+from .fileio import (FieldCsv, atomic_write_bytes, atomic_write_text,
+                     read_edge_list, read_field_csv, read_samples_csv,
+                     sample_coords, snap_to_vertices, write_level_csv,
+                     write_metrics_json, write_scalar_csv)
 from .gvf import (EnvelopePair, FeasibilityCheck, GuidingSet, GvfFit,
                   InfeasibleError, LevelField, LevelTable, Witness,
                   check_feasibility, envelopes, fit_gvf, gvf_extend,
@@ -45,7 +45,7 @@ __all__ = [
     "mls_fit", "shepard", "evaluate_on_domain",
     "Metrics", "compute_metrics",
     "render_heatmap", "render_pgm16", "render_heightmesh",
-    "ParsedSamples", "FieldCsv",
+    "FieldCsv",
     "read_samples_csv", "snap_to_vertices", "sample_coords",
     "write_level_csv", "write_scalar_csv", "read_field_csv",
     "write_metrics_json", "read_edge_list",

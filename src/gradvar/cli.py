@@ -165,9 +165,9 @@ def _write_renders(field: ScalarField, out: str) -> list[str]:
 
 def cmd_fit(args) -> int:
     domain = _resolve_domain(args)
-    parsed = read_samples_csv(args.samples)
-    samples = (SamplePoints.from_points(sample_coords(parsed, domain))
-               if args.method in POINTWISE else snap_to_vertices(parsed, domain))
+    rows = read_samples_csv(args.samples)
+    samples = (SamplePoints.from_points(sample_coords(rows, domain))
+               if args.method in POINTWISE else snap_to_vertices(rows, domain))
     delta = _parse_delta(args.delta)
     weight = _parse_weight(args.weight)
     # run.json records these for every method, so each must hold for any.

@@ -293,12 +293,27 @@ def _records(path, sep=None) -> Iterator[tuple[int, list[str]]]:
                 yield lineno, line.split(sep)
 
 
-def _record_line(path, n: int, kind: str | None = None) -> int:
-    """File line of the ``n``-th record (from 0) of :func:`_records`, counting
-    only records whose first field is ``kind`` if given; readers call it
-    once a check on their parsed arrays fails, to name the bad line."""
-    return [lineno for lineno, fields in _records(path)
-            if kind is None or fields[0] == kind][n]
+def _fields(path, lineno: int, tokens: list[str], sizes, converters,
+            count_error: str, parse_error: str) -> list:
+    """``tokens``, if their count is in ``sizes``, each converted by the
+    converter at its place; else ValueError "<path>: line <lineno>:
+    <count_error>", or "... <parse_error>" if a converter raises one."""
+    if len(tokens) not in sizes:
+        raise ValueError(f"{path}: line {lineno}: {count_error}")
+    try:
+        return [convert(token) for convert, token in zip(converters, tokens)]
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: {parse_error}") from None
+
+
+def _line_error(path, n: int, message: str, kind: str | None = None) -> ValueError:
+    """ValueError "<path>: line <L>: <message>", L the file line of the
+    ``n``-th record (from 0) of :func:`_records`, counting only records whose
+    first field is ``kind`` if given; readers raise it once a check on their
+    parsed arrays fails, to name the bad line."""
+    lineno = [lineno for lineno, fields in _records(path)
+              if kind is None or fields[0] == kind][n]
+    return ValueError(f"{path}: line {lineno}: {message}")
 
 
 # The bytes a token of a plain file may hold: printable ASCII but for the
@@ -322,30 +337,20 @@ def _loadtxt(src, dtype, delimiter=None) -> np.ndarray | None:
 
 def _mesh_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(vertex x, y, z rows, 1-based face corners, corners per face) of an OBJ
-    file, read line by line; a malformed record raises naming its line."""
-    verts: list[tuple[float, float, float]] = []
+    file, read line by line; each ``v`` and ``f`` record converts through
+    :func:`_fields`, so a malformed one raises naming its line."""
+    verts: list[list[float]] = []
     corners: list[int] = []      # every face's 1-based indices, in file order
     sizes: list[int] = []        # 3 or 4 corners per face
+    face_ids = (lambda t: int(t.split("/", 1)[0]),) * 4   # "i", "i/j" or "i/j/k"
     for lineno, tokens in _records(path):
-        kind = tokens[0]
-        if kind == "v":
-            if len(tokens) != 4:
-                raise ValueError(
-                    f"{path}: line {lineno}: vertex record needs 3 coordinates")
-            try:
-                verts.append(tuple(float(t) for t in tokens[1:]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-numeric vertex coordinate") from None
-        elif kind == "f":
-            if len(tokens) not in (4, 5):
-                raise ValueError(
-                    f"{path}: line {lineno}: faces must be triangles or quads")
-            try:
-                ids = [int(t.split("/", 1)[0]) for t in tokens[1:]]
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-integer face index") from None
+        if tokens[0] == "v":
+            verts.append(_fields(path, lineno, tokens[1:], (3,), (float,) * 3,
+                                 "vertex record needs 3 coordinates",
+                                 "non-numeric vertex coordinate"))
+        elif tokens[0] == "f":
+            ids = _fields(path, lineno, tokens[1:], (3, 4), face_ids,
+                          "faces must be triangles or quads", "non-integer face index")
             corners.extend(ids)
             sizes.append(len(ids))
         # Anything else (vn, vt, o, g, ...) is outside the subset; skip.
@@ -393,8 +398,8 @@ def load_mesh(path) -> Domain:
     xyz, ids, size = _mesh_bulk(path) or _mesh_records(path)
     finite = np.isfinite(xyz).all(axis=1)
     if not finite.all():
-        lineno = _record_line(path, int(np.argmin(finite)), "v")
-        raise ValueError(f"{path}: line {lineno}: non-finite vertex coordinate")
+        raise _line_error(path, int(np.argmin(finite)),
+                          "non-finite vertex coordinate", "v")
     n = len(xyz)
     face = np.repeat(np.arange(len(size)), size)
     # Each corner joins the next one of its face; the last closes the cycle.
@@ -407,9 +412,8 @@ def load_mesh(path) -> Domain:
     bad = out_of_range | (ids == ids[nxt]) | (ids == ids[nxt[nxt]])
     if bad.any():
         corner = int(np.argmax(bad))
-        lineno = _record_line(path, int(face[corner]), "f")
         what = "index out of range" if out_of_range[corner] else "repeats a corner"
-        raise ValueError(f"{path}: line {lineno}: face {what}")
+        raise _line_error(path, int(face[corner]), f"face {what}", "f")
     edges = np.stack([ids - 1, ids[nxt] - 1], axis=1)
     return Domain(n, edges, coords=xyz[:, :2])
 

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Domain, _ids, _loadtxt, _mean_by_key, _record_line, _records
+from .domain import (Domain, _count, _fields, _ids, _line_error, _loadtxt,
+                     _mean_by_key, _records)
 from .gvf import LevelField, to_scalar
 
 
@@ -46,77 +47,62 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-class ParsedSamples(NamedTuple):
-    """Raw rows from a sample CSV before any snapping.
-
-    kind is "xy" for an `x,y,value` file (rows are (x, y, value)) or
-    "vertex" for a `vertex,value` file (rows are (vertex, value)).
-    """
-
-    kind: str
-    rows: np.ndarray
-
-
 def _csv_records(path, what: str, headers: tuple[str, ...]):
     """(header, records after it) of a CSV whose header is one of ``headers``,
     matched case-blind and with spaces around fields dropped."""
     records = _records(path, ",")
-    _, header = next(records, (0, None))
+    lineno, header = next(records, (0, None))
     if header is None:
         raise ValueError(f"{path}: empty {what} file")
     names = ",".join(h.strip().lower() for h in header)
     if names not in headers:
-        raise ValueError(f"{path}: header must be "
+        raise ValueError(f"{path}: line {lineno}: header must be "
                          f"{' or '.join(map(repr, headers))}, got {','.join(header)!r}")
     return names, records
 
 
-def read_samples_csv(path) -> ParsedSamples:
-    """Parse a sample CSV; the header line selects the flavor."""
+def read_samples_csv(path) -> np.ndarray:
+    """The float rows of a sample CSV: shape (n, 3) for an `x,y,value` file,
+    (n, 2) for a `vertex,value` file.  A malformed row, a vertex id that is
+    not whole or a value that is not finite raises naming its file line."""
     names, records = _csv_records(path, "sample", ("x,y,value", "vertex,value"))
-    kind, ncol = ("xy", 3) if names == "x,y,value" else ("vertex", 2)
-    rows = []
-    for lineno, parts in records:
-        if len(parts) != ncol:
-            raise ValueError(f"{path}: line {lineno}: expected {ncol} columns")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric entry") from None
+    ncol = names.count(",") + 1
+    rows = [_fields(path, lineno, parts, (ncol,), (float,) * ncol,
+                    f"expected {ncol} columns", "non-numeric entry")
+            for lineno, parts in records]
     if not rows:
         raise ValueError(f"{path}: no sample rows")
     arr = np.asarray(rows, dtype=np.float64)
-    if kind == "vertex" and not (arr[:, 0] == np.rint(arr[:, 0])).all():
-        raise ValueError(f"{path}: vertex ids must be integers")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{path}: samples must be finite")
-    return ParsedSamples(kind=kind, rows=arr)
+    whole = (arr[:, 0] == np.rint(arr[:, 0])) | (ncol == 3)   # x,y rows hold no id
+    if not whole.all():
+        raise _line_error(path, int(np.argmin(whole)) + 1, "vertex ids must be integers")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise _line_error(path, int(np.argmin(finite)) + 1, "samples must be finite")
+    return arr
 
 
-def snap_to_vertices(parsed: ParsedSamples, domain: Domain) -> dict[int, float]:
-    """Resolve parsed samples to a vertex -> value map.
+def snap_to_vertices(rows: np.ndarray, domain: Domain) -> dict[int, float]:
+    """Resolve sample rows, as :func:`read_samples_csv` returns them, to a
+    vertex -> value map.
 
-    `x,y,value` rows snap to the nearest vertex of the domain's grid (ties
+    (x, y, value) rows snap to the nearest vertex of the domain's grid (ties
     toward the larger row/column), so they need a :func:`build_grid`
     domain; rows landing on the same vertex merge by mean (sum / count, as
     :meth:`SamplePoints.from_points` merges) with a warning.
-    `vertex,value` rows resolve directly on any domain.  The map's keys run
+    (vertex, value) rows resolve directly on any domain.  The map's keys run
     in vertex order.
     """
     grid = domain.grid
-    if parsed.kind == "xy":
+    if rows.shape[1] == 3:
         if grid is None:
             raise ValueError("x,y,value samples need a grid domain to snap to")
-        cols = np.clip(np.floor(parsed.rows[:, 0] / grid.spacing + 0.5),
-                       0, grid.width - 1).astype(np.int64)
-        rows_ = np.clip(np.floor(parsed.rows[:, 1] / grid.spacing + 0.5),
-                        0, grid.height - 1).astype(np.int64)
-        verts = rows_ * grid.width + cols
-        values = parsed.rows[:, 2]
+        col, row = np.clip(np.floor(rows[:, :2] / grid.spacing + 0.5), 0,
+                           (grid.width - 1, grid.height - 1)).astype(np.int64).T
+        verts = row * grid.width + col
     else:
-        verts = _ids(parsed.rows[:, 0], "sample vertex ids", domain.vertex_count)
-        values = parsed.rows[:, 1]
-    merged, means = _mean_by_key(verts, values)
+        verts = _ids(rows[:, 0], "sample vertex ids", domain.vertex_count)
+    merged, means = _mean_by_key(verts, rows[:, -1])
     if len(merged) < len(verts):
         warnings.warn(
             f"{len(verts) - len(merged)} sample row(s) landed on already-occupied "
@@ -124,15 +110,16 @@ def snap_to_vertices(parsed: ParsedSamples, domain: Domain) -> dict[int, float]:
     return dict(zip(merged.tolist(), means.tolist()))
 
 
-def sample_coords(parsed: ParsedSamples, domain: Domain) -> np.ndarray:
-    """(x, y, value) rows for pointwise methods, from either CSV flavor."""
-    if parsed.kind == "xy":
-        return np.array(parsed.rows)
+def sample_coords(rows: np.ndarray, domain: Domain) -> np.ndarray:
+    """(x, y, value) rows for pointwise methods, from sample rows of either
+    shape :func:`read_samples_csv` returns."""
+    if rows.shape[1] == 3:
+        return np.array(rows)
     if domain.coords is None:
         raise ValueError("vertex,value samples on a domain without coordinates "
                          "cannot feed coordinate-based methods")
-    verts = _ids(parsed.rows[:, 0], "sample vertex ids", domain.vertex_count)
-    return np.column_stack([domain.coords[verts], parsed.rows[:, 1]])
+    verts = _ids(rows[:, 0], "sample vertex ids", domain.vertex_count)
+    return np.column_stack([domain.coords[verts], rows[:, 1]])
 
 
 def _write_field_csv(path, header: str, count: int, lines) -> None:
@@ -189,28 +176,23 @@ class FieldCsv(NamedTuple):
 
 
 def _field_records(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """(values, level indices or None) of a field CSV, read line by line; a
-    malformed row, or one whose vertex breaks the order 0..N-1, raises
-    naming its line."""
+    """(values, level indices or None) of a field CSV, read line by line; each
+    row converts through :func:`_fields`, and a malformed row, or one whose
+    vertex breaks the order 0..N-1, raises naming its line."""
     names, records = _csv_records(path, "field",
                                   ("vertex,index,value", "vertex,value"))
-    with_index = names == "vertex,index,value"
-    idxs, vals = [], []
+    width = names.count(",") + 1
+    converters = (int, int, float)[3 - width:]
+    rows = []
     for lineno, parts in records:
-        if len(parts) != (3 if with_index else 2):
-            raise ValueError(f"{path}: line {lineno}: wrong column count")
-        try:
-            vertex = int(parts[0])
-            if with_index:
-                idxs.append(int(parts[1]))
-            vals.append(float(parts[-1]))
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric entry") from None
-        if vertex != len(vals) - 1:
+        row = _fields(path, lineno, parts, (width,), converters,
+                      "wrong column count", "non-numeric entry")
+        if row[0] != len(rows):
             raise ValueError(f"{path}: line {lineno}: expected vertex "
-                             f"{len(vals) - 1}, got {vertex}")
-    return (np.array(vals, dtype=np.float64),
-            _ids(idxs, "level indices") if with_index else None)
+                             f"{len(rows)}, got {row[0]}")
+        rows.append(row)
+    return (np.array([row[-1] for row in rows], dtype=np.float64),
+            _ids([row[1] for row in rows], "level indices") if width == 3 else None)
 
 
 def _field_bulk(path) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -240,8 +222,7 @@ def read_field_csv(path) -> FieldCsv:
     values, indices = _field_bulk(path) or _field_records(path)
     finite = np.isfinite(values)
     if not finite.all():
-        lineno = _record_line(path, int(np.argmin(finite)) + 1)
-        raise ValueError(f"{path}: line {lineno}: non-finite value")
+        raise _line_error(path, int(np.argmin(finite)) + 1, "non-finite value")
     return FieldCsv(values=values, indices=indices)
 
 
@@ -253,35 +234,26 @@ def write_metrics_json(path, payload: dict) -> None:
 
 
 def read_edge_list(path) -> tuple[int, np.ndarray]:
-    """Parse a plain-text graph: `vertices N` (N >= 1), then one `a b` edge
-    per line that joins two distinct ids in 0..N-1."""
-    count = None
+    """Parse a plain-text graph: `vertices N` (N >= 1) as the first record,
+    then one `a b` edge per line that joins two distinct ids in 0..N-1; each
+    record converts through :func:`_fields`, so a malformed one raises
+    naming its line."""
+    records = _records(path)
+    lineno, tokens = next(records, (0, None))
+    if tokens is None:
+        raise ValueError(f"{path}: missing 'vertices N' line")
+    named = tokens[0].lower() == "vertices"   # else no token count will do
+    _, count = _fields(path, lineno, tokens, (2,) if named else (),
+                       (str, lambda t: _count(int(t), "vertex count")),
+                       "expected 'vertices N' first",
+                       f"bad vertex count {tokens[-1]!r}; need a positive integer")
     edges = []
-    for lineno, tokens in _records(path):
-        if count is None:
-            if len(tokens) == 2 and tokens[0].lower() == "vertices":
-                try:
-                    count = int(tokens[1])
-                except ValueError:
-                    count = 0
-                if count < 1:
-                    raise ValueError(f"{path}: line {lineno}: bad vertex count"
-                                     f" {tokens[1]!r}; need a positive integer")
-                continue
-            raise ValueError(
-                f"{path}: line {lineno}: expected 'vertices N' first")
-        if len(tokens) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected 'a b'")
-        try:
-            a, b = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: non-integer vertex id") from None
+    for lineno, tokens in records:
+        a, b = _fields(path, lineno, tokens, (2,), (int, int),
+                       "expected 'a b'", "non-integer vertex id")
         if a == b or not (0 <= a < count and 0 <= b < count):
             raise ValueError(f"{path}: line {lineno}: edge {a} {b} must join "
                              f"two distinct vertex ids in 0..{count - 1}")
         edges.append((a, b))
-    if count is None:
-        raise ValueError(f"{path}: missing 'vertices N' line")
     # An id past int64 (its count is too) clips to 2**60, which no Domain holds.
     return count, _ids(edges, "edge vertex ids").reshape(-1, 2)

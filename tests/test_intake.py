@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from gradvar import (Domain, EnvelopePair, GradientField, GridSpec, GuidingSet,
-                     InversePowerWeight, LevelField, LevelTable, SamplePoints,
-                     ScalarField, bfs_distances, build_graph, build_grid,
-                     check_feasibility, compute_metrics, envelopes, fit_gvf,
-                     harmonic_relax, lipschitz_delta, quantize,
-                     smooth_reconstruct)
+                     InversePowerWeight, LevelField, LevelTable, Metrics,
+                     RelaxReport, SamplePoints, ScalarField, bfs_distances,
+                     build_graph, build_grid, check_feasibility, compute_metrics,
+                     envelopes, fit_gvf, harmonic_relax, lipschitz_delta,
+                     quantize, smooth_reconstruct)
 from gradvar.bench import run_bench
 
 PATH = build_graph([(0, 1), (1, 2)], 3)
@@ -183,6 +183,12 @@ INPUT_CHECKS = {
     "compute_metrics": (
         lambda: compute_metrics(FIELD, ScalarField(Domain(2), [0.0, 0.0])),
         "field and truth have different vertex counts"),
+    "Metrics-nonnegative": (lambda: Metrics(0.0, 0.0, np.nan),
+                            "tv_gradient must be nonnegative"),
+    "Metrics-rmse-past-max": (lambda: Metrics(2.0, 1.0, 0.0),
+                              "rmse cannot exceed max_abs_error"),
+    "RelaxReport": (lambda: RelaxReport(-1, 0.0),
+                    "iterations must be >= 0 and residual nonnegative"),
 }
 
 
@@ -192,6 +198,10 @@ def test_integer_inputs_must_be_whole_numbers(name):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_domain_repr_names_its_counts():
+    assert repr(PATH) == "Domain(vertices=3, edges=2)"
 
 
 def test_whole_float_counts_name_their_ints():

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gradvar import (Domain, GridSpec, LevelField, LevelTable, ParsedSamples,
-                     SamplePoints, ScalarField, build_graph, build_grid, fit_gvf, load_mesh,
+from gradvar import (Domain, GridSpec, LevelField, LevelTable, SamplePoints,
+                     ScalarField, build_graph, build_grid, fit_gvf, load_mesh,
                      read_edge_list, read_field_csv, read_samples_csv,
                      render_heatmap, render_heightmesh, render_pgm16,
                      sample_coords, snap_to_vertices, write_level_csv,
                      to_scalar, write_metrics_json, write_scalar_csv)
-from gradvar.fileio import _distinct_cells, atomic_write_text
+from gradvar.domain import _mesh_bulk
+from gradvar.fileio import _distinct_cells, _field_bulk, atomic_write_text
 
 from checks import load_perfbench, oracle_heightmesh_text
 
@@ -240,16 +241,12 @@ class TestSamplesCsv:
     def test_xy_flavor(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("# comment\nx,y,value\n0.0,0.0,1.5\n2.0,1.0,-3.0\n")
-        parsed = read_samples_csv(p)
-        assert parsed.kind == "xy"
-        assert parsed.rows.tolist() == [[0.0, 0.0, 1.5], [2.0, 1.0, -3.0]]
+        assert read_samples_csv(p).tolist() == [[0.0, 0.0, 1.5], [2.0, 1.0, -3.0]]
 
     def test_vertex_flavor(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("vertex,value\n3,0.25\n0,9.0\n")
-        parsed = read_samples_csv(p)
-        assert parsed.kind == "vertex"
-        assert parsed.rows.tolist() == [[3.0, 0.25], [0.0, 9.0]]
+        assert read_samples_csv(p).tolist() == [[3.0, 0.25], [0.0, 9.0]]
 
     @pytest.mark.parametrize("body,msg", [
         ("a,b\n1,2\n", "header"),
@@ -275,42 +272,39 @@ class TestSamplesCsv:
     def test_inline_comments_dropped(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("vertex,value  # header\n3,0.25 # first\n#\n0,9.0\n")
-        assert read_samples_csv(p).rows.tolist() == [[3.0, 0.25], [0.0, 9.0]]
+        assert read_samples_csv(p).tolist() == [[3.0, 0.25], [0.0, 9.0]]
 
 
 class TestSnapping:
     def test_nearest_vertex_with_ties_up(self):
         grid = GridSpec(4, 4, spacing=1.0)
         d = build_grid(grid)
-        parsed = ParsedSamples(kind="xy", rows=np.array(
-            [[0.4, 0.0, 1.0], [0.5, 0.0, 2.0], [2.6, 3.4, 3.0]]))
-        out = snap_to_vertices(parsed, d)
+        rows = np.array([[0.4, 0.0, 1.0], [0.5, 0.0, 2.0], [2.6, 3.4, 3.0]])
+        out = snap_to_vertices(rows, d)
         assert out == {0: 1.0, 1: 2.0, 3 * 4 + 3: 3.0}
 
     def test_out_of_bounds_clips_to_border(self):
         grid = GridSpec(3, 3)
         d = build_grid(grid)
-        parsed = ParsedSamples(kind="xy", rows=np.array(
-            [[-50.0, -50.0, 1.0], [50.0, 50.0, 2.0]]))
-        out = snap_to_vertices(parsed, d)
+        rows = np.array([[-50.0, -50.0, 1.0], [50.0, 50.0, 2.0]])
+        out = snap_to_vertices(rows, d)
         assert out == {0: 1.0, 8: 2.0}
 
     def test_collisions_merge_by_mean_with_warning(self):
         grid = GridSpec(3, 3)
         d = build_grid(grid)
-        parsed = ParsedSamples(kind="xy", rows=np.array(
-            [[1.0, 1.0, 2.0], [1.1, 0.9, 6.0]]))
+        rows = np.array([[1.0, 1.0, 2.0], [1.1, 0.9, 6.0]])
         with pytest.warns(UserWarning, match="merged"):
-            out = snap_to_vertices(parsed, d)
+            out = snap_to_vertices(rows, d)
         assert out == {4: 4.0}
 
     def test_three_rows_merge_by_sum_over_count(self):
         grid = GridSpec(3, 3)
         d = build_grid(grid)
-        parsed = ParsedSamples(kind="xy", rows=np.array(
-            [[1.0, 1.0, 1.0], [0.0, 0.0, 7.0], [1.1, 0.9, 2.0], [0.9, 1.1, 4.0]]))
+        rows = np.array(
+            [[1.0, 1.0, 1.0], [0.0, 0.0, 7.0], [1.1, 0.9, 2.0], [0.9, 1.1, 4.0]])
         with pytest.warns(UserWarning, match="^2 sample row"):
-            out = snap_to_vertices(parsed, d)
+            out = snap_to_vertices(rows, d)
         assert list(out) == [0, 4]
         assert out == {4: (1.0 + 2.0 + 4.0) / 3, 0: 7.0}
 
@@ -318,58 +312,57 @@ class TestSnapping:
         # A running mean gives 0.2 here and sum / count 0.20000000000000004;
         # gvf and MLS must fit the same merged value from one file.
         d = build_grid(GridSpec(3, 3))
-        parsed = ParsedSamples(kind="vertex", rows=np.array(
-            [[5.0, 0.1], [5.0, 0.2], [5.0, 0.3]]))
+        rows = np.array([[5.0, 0.1], [5.0, 0.2], [5.0, 0.3]])
         with pytest.warns(UserWarning, match="^2 sample row"):
-            out = snap_to_vertices(parsed, d)
-        points = SamplePoints.from_points(sample_coords(parsed, d))
+            out = snap_to_vertices(rows, d)
+        points = SamplePoints.from_points(sample_coords(rows, d))
         assert out == {5: points.values[0]} == {5: (0.1 + 0.2 + 0.3) / 3}
 
     def test_spacing_scales_snap(self):
         grid = GridSpec(3, 3, spacing=2.0)
         d = build_grid(grid)
-        parsed = ParsedSamples(kind="xy", rows=np.array([[3.2, 0.0, 5.0]]))
-        assert snap_to_vertices(parsed, d) == {2: 5.0}
+        rows = np.array([[3.2, 0.0, 5.0]])
+        assert snap_to_vertices(rows, d) == {2: 5.0}
 
     def test_vertex_rows_on_plain_graph(self):
         d = build_graph([(0, 1), (1, 2)], 3)
-        parsed = ParsedSamples(kind="vertex", rows=np.array([[2.0, 7.0]]))
-        assert snap_to_vertices(parsed, d) == {2: 7.0}
+        rows = np.array([[2.0, 7.0]])
+        assert snap_to_vertices(rows, d) == {2: 7.0}
 
     def test_vertex_id_out_of_range(self):
         d = build_grid(GridSpec(3, 3))
         # An id past int64 is named as read, not as a wrapped cast, and a
         # negative id does not count from the end.
         for row, shown in ([9.0, "9"], [-1.0, "-1"], [1e30, "1e+30"]):
-            parsed = ParsedSamples(kind="vertex", rows=np.array([[row, 1.0]]))
+            rows = np.array([[row, 1.0]])
             for resolve in (snap_to_vertices, sample_coords):
                 with pytest.raises(ValueError) as exc:
-                    resolve(parsed, d)
+                    resolve(rows, d)
                 assert str(exc.value) == f"sample vertex id {shown} out of range"
 
     def test_xy_without_grid_rejected(self):
         d = build_graph([(0, 1)], 2)
-        parsed = ParsedSamples(kind="xy", rows=np.array([[0.0, 0.0, 1.0]]))
+        rows = np.array([[0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="grid"):
-            snap_to_vertices(parsed, d)
+            snap_to_vertices(rows, d)
 
 
 class TestSampleCoords:
     def test_xy_passes_through(self):
         d = build_grid(GridSpec(2, 2))
-        parsed = ParsedSamples(kind="xy", rows=np.array([[0.3, 0.4, 1.0]]))
-        assert sample_coords(parsed, d).tolist() == [[0.3, 0.4, 1.0]]
+        rows = np.array([[0.3, 0.4, 1.0]])
+        assert sample_coords(rows, d).tolist() == [[0.3, 0.4, 1.0]]
 
     def test_vertex_resolves_coordinates(self):
         d = build_grid(GridSpec(3, 2, spacing=0.5))
-        parsed = ParsedSamples(kind="vertex", rows=np.array([[4.0, 9.0]]))
-        assert sample_coords(parsed, d).tolist() == [[0.5, 0.5, 9.0]]
+        rows = np.array([[4.0, 9.0]])
+        assert sample_coords(rows, d).tolist() == [[0.5, 0.5, 9.0]]
 
     def test_vertex_without_coords_rejected(self):
         d = build_graph([(0, 1)], 2)
-        parsed = ParsedSamples(kind="vertex", rows=np.array([[0.0, 1.0]]))
+        rows = np.array([[0.0, 1.0]])
         with pytest.raises(ValueError, match="coordinates"):
-            sample_coords(parsed, d)
+            sample_coords(rows, d)
 
 
 class TestFieldCsv:
@@ -616,6 +609,83 @@ class TestLineNumbers:
         p.write_text(body)
         with pytest.raises(ValueError, match=match):
             reader(p)
+
+
+TRI = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+# Each row: a reader, a file, and the whole message it must raise after the
+# file's path.  A check on the parsed arrays runs after either read path, so
+# it has two rows: a plain file, which the whole-array reader takes, and a
+# commented one, which only the line reader takes.
+READER_MESSAGES = {
+    "mesh-coordinate-count": (load_mesh, "v 0 0\n",
+                              "line 1: vertex record needs 3 coordinates"),
+    "mesh-coordinate": (load_mesh, "v 0 0 x\n", "line 1: non-numeric vertex coordinate"),
+    "mesh-face-size": (load_mesh, TRI + "f 1 2\n",
+                       "line 4: faces must be triangles or quads"),
+    "mesh-face-index": (load_mesh, TRI + "f 1 2 x\n", "line 4: non-integer face index"),
+    "mesh-no-vertices": (load_mesh, "# c\nvn 0 0 1\n", "no vertices found"),
+    "mesh-finite-plain": (load_mesh, "v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n",
+                          "line 2: non-finite vertex coordinate"),
+    "mesh-finite-commented": (load_mesh, "# c\nv 0 0 0\n\nv 0 inf 0 # b\nv 0 1 0\n",
+                              "line 4: non-finite vertex coordinate"),
+    "mesh-range-plain": (load_mesh, TRI + "f 1 2 4\n", "line 4: face index out of range"),
+    "mesh-range-commented": (load_mesh, TRI + "# c\nf 1 2 3\n\nf 1 2 0 # d\n",
+                             "line 7: face index out of range"),
+    "mesh-corner-plain": (load_mesh, TRI + "f 1 2 2\n", "line 4: face repeats a corner"),
+    "mesh-corner-commented": (load_mesh, TRI + "f 1 2 3 # a\n\nf 3 2 3\n",
+                              "line 6: face repeats a corner"),
+    "edges-empty": (read_edge_list, "", "missing 'vertices N' line"),
+    "edges-comments-only": (read_edge_list, "# c\n\n", "missing 'vertices N' line"),
+    "edges-first": (read_edge_list, "0 1\n", "line 1: expected 'vertices N' first"),
+    "edges-first-width": (read_edge_list, "# c\nvertices 3 4\n",
+                          "line 2: expected 'vertices N' first"),
+    "edges-count": (read_edge_list, "vertices x\n",
+                    "line 1: bad vertex count 'x'; need a positive integer"),
+    "edges-count-zero": (read_edge_list, "Vertices 0\n",
+                         "line 1: bad vertex count '0'; need a positive integer"),
+    "edges-width": (read_edge_list, "vertices 3\n0 1 2\n", "line 2: expected 'a b'"),
+    "edges-id": (read_edge_list, "vertices 3\n0 x\n", "line 2: non-integer vertex id"),
+    "edges-self-loop": (read_edge_list, "vertices 3\n1 1\n",
+                        "line 2: edge 1 1 must join two distinct vertex ids in 0..2"),
+    "samples-empty": (read_samples_csv, "", "empty sample file"),
+    "samples-header": (read_samples_csv, "# c\na,b\n1,2\n",
+                       "line 2: header must be 'x,y,value' or 'vertex,value', got 'a,b'"),
+    "samples-width-xy": (read_samples_csv, "x,y,value\n1,2\n", "line 2: expected 3 columns"),
+    "samples-width-vertex": (read_samples_csv, "vertex,value\n1\n",
+                             "line 2: expected 2 columns"),
+    "samples-entry": (read_samples_csv, "x,y,value\n1,2,zebra\n",
+                      "line 2: non-numeric entry"),
+    "samples-no-rows": (read_samples_csv, "vertex,value\n# c\n", "no sample rows"),
+    "samples-whole-ids": (read_samples_csv, "vertex,value\n0,1\n# c\n1.5,2\n",
+                          "line 4: vertex ids must be integers"),
+    "samples-finite": (read_samples_csv, "x,y,value\n0,0,1\n\n0,0,nan\n",
+                       "line 4: samples must be finite"),
+    "field-empty": (read_field_csv, "", "empty field file"),
+    "field-header": (read_field_csv, "vertex,val\n0,1\n", "line 1: header must be "
+                     "'vertex,index,value' or 'vertex,value', got 'vertex,val'"),
+    "field-width": (read_field_csv, "vertex,value\n0,1.0\n1\n", "line 3: wrong column count"),
+    "field-entry": (read_field_csv, "vertex,index,value\n0,1,x\n",
+                    "line 2: non-numeric entry"),
+    "field-order": (read_field_csv, "vertex,value\n0,1.0\n2,1.0\n",
+                    "line 3: expected vertex 1, got 2"),
+    "field-finite-plain": (read_field_csv, "vertex,value\n0,1.0\n1,nan\n",
+                           "line 3: non-finite value"),
+    "field-finite-commented": (read_field_csv, "# c\nvertex,index,value\n0,1,1.0 # a\n"
+                               "\n1,2,inf\n", "line 5: non-finite value"),
+}
+BULK = {load_mesh: _mesh_bulk, read_field_csv: _field_bulk}
+
+
+@pytest.mark.parametrize("name", READER_MESSAGES)
+def test_reader_messages_in_full(tmp_path, name):
+    reader, body, message = READER_MESSAGES[name]
+    p = tmp_path / "in.txt"
+    p.write_text(body)
+    if name.endswith(("-plain", "-commented")):
+        assert (BULK[reader](p) is None) == name.endswith("-commented")
+    with pytest.raises(ValueError) as exc:
+        reader(p)
+    assert str(exc.value) == f"{p}: {message}"
 
 
 # Generated reader input: integers of any size, floats, junk tokens, face
