@@ -174,12 +174,13 @@ def _distances(q: np.ndarray, xy: np.ndarray) -> np.ndarray:
     return np.hypot(xy[:, 0] - q[:, 0, None], xy[:, 1] - q[:, 1, None])
 
 
-def _mls_rows(q: np.ndarray, samples: SamplePoints,
-              config: MlsConfig) -> tuple[np.ndarray, np.ndarray]:
-    """MLS values and ranks at a chunk of queries q (chunk, 2).
+def _mls_system(q: np.ndarray, samples: SamplePoints, config: MlsConfig):
+    """The weighted MLS systems at a chunk of queries q (chunk, 2).
 
-    Raises _RowError naming the lowest query whose weights are negative
-    or sum to zero.
+    Returns the design matrices a (chunk, k, m), right-hand sides b
+    (chunk, k), the rows left after dominance, and each query's centroid
+    and scale.  Raises _RowError naming the lowest query whose weights are
+    negative or sum to zero.
     """
     xy, vals = samples.xy, samples.values
     k = len(vals)
@@ -210,7 +211,10 @@ def _mls_rows(q: np.ndarray, samples: SamplePoints,
     centroid = (w @ xy) / total[:, None]
     offset = xy[None, :, :] - centroid[:, None, :]
     with np.errstate(over="ignore"):  # zero-weight samples add 0, even at inf
-        sq = np.where(w > 0, np.square(offset).sum(axis=2), 0.0)
+        # dx^2 + dy^2 as one add has the bits of a sum over the last axis, which
+        # numpy reduces about ten times slower on an axis this short.
+        sq = np.square(offset)
+        sq = np.where(w > 0, sq[:, :, 0] + sq[:, :, 1], 0.0)
     spread = np.sqrt(np.einsum("ck,ck->c", w, sq) / total)
     scale = np.where(spread > 0, spread, 1.0)
     root_w = np.sqrt(w)
@@ -219,20 +223,87 @@ def _mls_rows(q: np.ndarray, samples: SamplePoints,
     scaled = np.divide(offset, scale[:, None, None], out=np.copysign(0.0, offset),
                        where=(w > 0)[:, :, None])
     a = _basis(scaled, config.degree) * root_w[:, :, None]
-    b = vals * root_w
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    # lstsq's rcond=None rule, with k the rows left after dominance.
     k_rows = np.where(dominated, inf.sum(axis=1), k)
+    return a, vals * root_w, k_rows, centroid, scale
+
+
+# cond(a)^2 = lambda_max(G) / lambda_min(G) for the Gram matrix G = a^T a, and
+# each diagonal entry of G lies in [lambda_min, lambda_max].  So a row with
+# max diag(G) >= _COND_SQ * min diag(G) has cond(a) >= 50 with no eigen solve,
+# and a row with lambda_min * _COND_SQ > lambda_max has cond(a) < 50.  The
+# normal equations' forward error grows as cond(a)^2 * eps (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2nd ed., 2002, sec. 20.4), so it is
+# below about 2500 eps on those rows.  Rounding in G moves its eigenvalues by
+# about k * m * eps * lambda_max, far inside that margin.  A certified row has
+# full rank under lstsq's rule too, s_min > eps * max(k, m) * s_max, for any
+# k below 1 / (50 eps), about 9e13, so rank decisions do not change.
+_COND_SQ = 50.0 ** 2
+
+
+def _where(mask: np.ndarray):
+    """An index of mask's rows: a full slice, which copies nothing, when
+    every row is in it."""
+    return slice(None) if mask.all() else mask
+
+
+def _svd_solve(a: np.ndarray, b: np.ndarray,
+               k_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares coefficients and ranks through the SVD of
+    a, with lstsq's rcond=None rule for k_rows rows and m columns."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
     m = a.shape[2]
     keep = s > (np.finfo(np.float64).eps * np.maximum(k_rows, m) * s[:, 0])[:, None]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     coef = np.einsum("crm,cr->cm", vh, np.einsum("ckr,ck->cr", u, b) * inv)
+    return coef, keep.sum(axis=1)
+
+
+def _solve(a: np.ndarray, b: np.ndarray,
+           k_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients and ranks of a chunk of systems a x = b:
+    rows certified cond(a) < 50 by the normal equations, the rest by the SVD."""
+    # diag(G) is the squared column norms of a.  It is taken before G, whose
+    # batched matmul costs far more per row on small systems, so a chunk the
+    # diagonal test refuses whole builds no G.  It is laid out (m, chunk), as
+    # numpy reduces a short contiguous axis many times slower.  A NaN compares
+    # false, so a row whose G is not finite is refused too.
+    m = a.shape[2]
+    diag = np.einsum("ckm,ckm->mc", a, a, out=np.empty((m, len(a))))
+    certified = diag.max(axis=0) < _COND_SQ * diag.min(axis=0)
+    if certified.any():
+        rows = _where(certified)
+        part = a[rows]
+        gram = part.transpose(0, 2, 1) @ part
+        lam = np.linalg.eigvalsh(gram)
+        kept = lam[:, 0] * _COND_SQ > lam[:, -1]
+        certified[rows] = kept
+        gram = gram[_where(kept)]
+    coef = np.empty((len(a), m))
+    rank = np.full(len(a), m)
+    if certified.any():
+        rows = _where(certified)
+        rhs = b[rows][:, None, :] @ a[rows]
+        coef[rows] = np.linalg.solve(gram, rhs.transpose(0, 2, 1))[:, :, 0]
+    if not certified.all():
+        rows = _where(~certified)
+        coef[rows], rank[rows] = _svd_solve(a[rows], b[rows], k_rows[rows])
+    return coef, rank
+
+
+def _mls_rows(q: np.ndarray, samples: SamplePoints,
+              config: MlsConfig) -> tuple[np.ndarray, np.ndarray]:
+    """MLS values and ranks at a chunk of queries q (chunk, 2).
+
+    Raises _RowError naming the lowest query whose weights are negative
+    or sum to zero.
+    """
+    a, b, k_rows, centroid, scale = _mls_system(q, samples, config)
+    coef, rank = _solve(a, b, k_rows)
     uq = (q - centroid) / scale[:, None]
     with np.errstate(over="ignore"):  # far queries; inf * 0 terms are dropped
         bq = _basis(uq, config.degree)
     bq[np.isinf(bq) & (coef == 0)] = 0.0
-    value = np.einsum("cm,cm->c", bq, coef)
-    return value, keep.sum(axis=1)
+    return np.einsum("cm,cm->c", bq, coef), rank
 
 
 def _shepard_rows(q: np.ndarray, samples: SamplePoints,
@@ -265,14 +336,17 @@ def mls_fit(query, samples: SamplePoints, config: MlsConfig) -> MlsResult:
     polynomials p of the configured degree and evaluates p at the query.
     The system is solved in a basis centered on the weighted centroid
     and isotropically scaled, which keeps the fit translation-equivariant
-    and makes rank detection scale-free.  The solve takes the SVD of the
-    weighted design matrix (never of the normal matrix, which would square
-    its condition number); rank counts the singular values above
-    eps * max(k, m) * s_max for k samples and m basis columns, the rule of
-    ``np.linalg.lstsq(rcond=None)``, and the coefficients are the
-    minimum-norm solution.  With every sample weight infinite-dominated
-    (e.g. zero-distance under an epsilon-free inverse power weight), the
-    fit restricts to those dominating samples.
+    and makes rank detection scale-free.  A system whose weighted design
+    matrix a is certified cond(a) < 50, by the eigenvalues of a^T a, is
+    solved by the normal equations a^T a c = a^T b, whose forward error
+    grows as cond(a)^2 * eps and so stays below about 2500 eps.  Any other
+    system is solved through the SVD of a: rank counts the singular values
+    above eps * max(k, m) * s_max for k samples and m basis columns, the
+    rule of ``np.linalg.lstsq(rcond=None)``, and the coefficients are the
+    minimum-norm solution.  A certified system has full rank under that
+    rule too, so rank decisions are lstsq's.  With every sample weight
+    infinite-dominated (e.g. zero-distance under an epsilon-free inverse
+    power weight), the fit restricts to those dominating samples.
     """
     value, _ = _mls_rows(_query_rows(query), samples, config)
     return MlsResult(value=float(value[0]))

@@ -82,6 +82,15 @@ def read_samples_csv(path) -> np.ndarray:
     return arr
 
 
+def _sample_columns(rows: np.ndarray) -> int:
+    """2 or 3, the column count of sample rows as :func:`read_samples_csv`
+    returns them; any other shape raises ValueError."""
+    if rows.ndim != 2 or rows.shape[1] not in (2, 3):
+        raise ValueError(f"sample rows must have shape (n, 2) or (n, 3), "
+                         f"got {rows.shape}")
+    return rows.shape[1]
+
+
 def snap_to_vertices(rows: np.ndarray, domain: Domain) -> dict[int, float]:
     """Resolve sample rows, as :func:`read_samples_csv` returns them, to a
     vertex -> value map.
@@ -94,7 +103,7 @@ def snap_to_vertices(rows: np.ndarray, domain: Domain) -> dict[int, float]:
     in vertex order.
     """
     grid = domain.grid
-    if rows.shape[1] == 3:
+    if _sample_columns(rows) == 3:
         if grid is None:
             raise ValueError("x,y,value samples need a grid domain to snap to")
         col, row = np.clip(np.floor(rows[:, :2] / grid.spacing + 0.5), 0,
@@ -113,7 +122,7 @@ def snap_to_vertices(rows: np.ndarray, domain: Domain) -> dict[int, float]:
 def sample_coords(rows: np.ndarray, domain: Domain) -> np.ndarray:
     """(x, y, value) rows for pointwise methods, from sample rows of either
     shape :func:`read_samples_csv` returns."""
-    if rows.shape[1] == 3:
+    if _sample_columns(rows) == 3:
         return np.array(rows)
     if domain.coords is None:
         raise ValueError("vertex,value samples on a domain without coordinates "

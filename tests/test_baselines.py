@@ -253,17 +253,23 @@ class TestZeroWeightRows:
     def test_design_matrix_matches_unguarded_formula(self, monkeypatch, degree):
         # Where every offset is finite, the design matrix must be what
         # basis(offset / scale) * sqrt(w) gives, signed zeros of the
-        # zero-weight rows included, so the SVD and its result stay the same
-        # bit for bit.
+        # zero-weight rows included, so the solve and its result stay the
+        # same bit for bit.  It is captured where it is built, before the
+        # solve splits the chunk, so every row is checked.
         rng = np.random.default_rng(4)
         xy = rng.uniform(-20, 20, size=(30, 2))
         sp = SamplePoints(xy=xy, values=rng.normal(size=30))
         q = rng.uniform(-20, 20, size=(50, 2))
         cfg = MlsConfig(degree, GaussianWeight(0.3))
         seen = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda a, **kw: seen.append(a.copy()) or svd(a, **kw))
+        system = baselines._mls_system
+
+        def capture(*args):
+            out = system(*args)
+            seen.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(baselines, "_mls_system", capture)
         baselines._mls_rows(q, sp, cfg)
         dist = np.hypot(xy[:, 0] - q[:, 0, None], xy[:, 1] - q[:, 1, None])
         lw = cfg.weight.log_weight(dist)
@@ -469,3 +475,133 @@ class TestChunkedAgainstPerQuery:
         for q, w in zip(d.coords[:50], want[:50]):
             assert shepard(q, sp, power) == pytest.approx(w, rel=1e-12, abs=1e-12)
         assert fit.fallback_vertices == ()
+
+
+def _designed(rng, conds, k, m, rotate):
+    """(len(conds), k, m) matrices whose row i has condition number conds[i]:
+    singular values from 1 down to 1 / conds[i] in geometric steps, the
+    right singular vectors random where rotate[i] and the unit vectors
+    otherwise.  A cond of inf takes the steps of cond 10 with the last
+    singular value 0."""
+    c = np.asarray(conds, dtype=np.float64)
+    s = np.where(np.isinf(c), 10.0, c)[:, None] ** -np.linspace(0.0, 1.0, m)
+    s[np.isinf(c), -1] = 0.0
+    u = np.linalg.qr(rng.normal(size=(len(c), k, m)))[0]
+    v = np.linalg.qr(rng.normal(size=(len(c), m, m)))[0]
+    v[~np.asarray(rotate)] = np.eye(m)
+    return (u * s[:, None, :]) @ v.transpose(0, 2, 1), s
+
+
+def _compact(dist):
+    """(1 - (d / 4)^2)^2 within distance 4 and exactly 0 beyond."""
+    return np.square(np.maximum(0.0, 1.0 - np.square(dist / 4.0)))
+
+
+def _refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{name} must not run here")
+    return call
+
+
+class TestNormalEquationSplit:
+    """The solve certifies rows cond(a) < 50 for the normal equations and
+    sends the others to the SVD; both sides against per-row lstsq."""
+
+    CONDS = [1.0, 10.0, 49.0, 49.9, 50.1, 51.0, 1e3, math.inf]
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_split_matches_lstsq(self, monkeypatch, m):
+        rng = np.random.default_rng(m)
+        conds = np.repeat(self.CONDS, 4)
+        rotate = np.arange(len(conds)) % 2 == 0
+        a, s = _designed(rng, conds, 9, m, rotate)
+        b = rng.normal(size=(len(a), 9))
+        # Three zero-weight samples per row: their rows of a and b are signed 0s.
+        zeros = np.copysign(0.0, rng.normal(size=(len(a), 3, m + 1)))
+        a = np.concatenate([a, zeros[:, :, :m]], axis=1)
+        b = np.concatenate([b, zeros[:, :, m]], axis=1)
+        seen = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda x, **kw: seen.append(x.copy()) or svd(x, **kw))
+        coef, rank = baselines._solve(a, b, np.full(len(a), 12))
+        for i in range(len(a)):
+            want, _, want_rank, _ = np.linalg.lstsq(a[i], b[i], rcond=None)
+            assert rank[i] == want_rank
+            np.testing.assert_allclose(coef[i], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+        # Exactly the rows of cond >= 50 took the SVD, so the chunk was mixed.
+        refused = ~(s[:, -1] * 50.0 > s[:, 0])
+        assert 0 < refused.sum() < len(a) and len(seen) == 1
+        np.testing.assert_array_equal(seen[0], a[refused])
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("weight", [
+        GaussianWeight(scale=1.5),
+        _compact,                       # zero-weight samples, as signed 0 rows
+        InversePowerWeight(power=2.0),  # dominating sites at zero distance
+    ])
+    def test_chunk_rows_match_lstsq(self, monkeypatch, degree, weight):
+        # One chunk of every query of the scatter-and-line layout, so ordinary
+        # rows, fallbacks near the line and rows on the sites share it.
+        sp, d = TestChunkedAgainstPerQuery.mls_layout(0)
+        q = d.coords
+        cfg = MlsConfig(degree=degree, weight=weight)
+        a = baselines._mls_system(q, sp, cfg)[0]
+        if weight is _compact:
+            assert (a == 0).all(axis=2).any()
+            assert (np.signbit(a) & (a == 0)).any() or degree == 0
+        svd_rows = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda x, **kw: svd_rows.append(len(x)) or svd(x, **kw))
+        value, rank = baselines._mls_rows(q, sp, cfg)
+        want = [oracle_mls(p, sp.xy, sp.values, degree, weight) for p in q]
+        _agree(value, np.array([w[0] for w in want]), sp.values)
+        assert rank.tolist() == [w[1] for w in want]
+        if degree:
+            assert 0 < sum(svd_rows) < len(q)
+        else:
+            assert svd_rows == []   # m = 1: every row has cond(a) = 1
+
+    @pytest.mark.parametrize("degree, k", [(1, 2), (2, 3), (2, 5)])
+    def test_fewer_samples_than_basis(self, degree, k):
+        rng = np.random.default_rng(k)
+        sp = SamplePoints(xy=rng.uniform(0, 4, size=(k, 2)), values=rng.normal(size=k))
+        q = np.vstack([rng.uniform(-1, 5, size=(40, 2)), sp.xy])
+        for weight in (GaussianWeight(scale=2.0), InversePowerWeight(power=2.0)):
+            cfg = MlsConfig(degree=degree, weight=weight)
+            value, rank = baselines._mls_rows(q, sp, cfg)
+            want = [oracle_mls(p, sp.xy, sp.values, degree, weight) for p in q]
+            _agree(value, np.array([w[0] for w in want]), sp.values)
+            assert rank.tolist() == [w[1] for w in want]
+            assert (rank < _basis_size(degree)).all()
+
+
+class TestSolvePaths:
+    """Which solver each workload layout reaches; the one-row layout must not
+    pay for an eigen solve that cannot certify it."""
+
+    def test_collinear_layout_never_takes_eigvalsh(self, monkeypatch):
+        d = build_grid(GridSpec(24, 24))
+        rng = np.random.default_rng(0)
+        x = np.arange(1.0, 23.0, 2.0) + rng.uniform(-0.5, 0.5, 11)
+        sp = SamplePoints(xy=np.stack([x, np.full(11, 12.0)], axis=1),
+                          values=rng.normal(size=11))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse("eigvalsh"))
+        for degree in (1, 2):
+            fit = evaluate_on_domain(MlsConfig(degree, GaussianWeight(4.0)), sp, d)
+            assert len(fit.fallback_vertices) == d.vertex_count
+
+    def test_certified_layout_never_takes_svd(self, monkeypatch):
+        # Jittered samples a few spacings apart, a Gaussian about as wide.
+        d = build_grid(GridSpec(24, 24))
+        rng = np.random.default_rng(0)
+        g = np.arange(1.0, 24.0, 4.0)
+        xy = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        sp = SamplePoints(xy=xy + rng.uniform(-1, 1, xy.shape),
+                          values=rng.normal(size=len(xy)))
+        monkeypatch.setattr(np.linalg, "svd", _refuse("svd"))
+        for degree in (0, 1, 2):
+            fit = evaluate_on_domain(MlsConfig(degree, GaussianWeight(4.0)), sp, d)
+            assert fit.fallback_vertices == ()

@@ -340,6 +340,17 @@ class TestSnapping:
                     resolve(rows, d)
                 assert str(exc.value) == f"sample vertex id {shown} out of range"
 
+    @pytest.mark.parametrize("shape", [(1, 4), (2,), (3, 1)])
+    def test_rows_of_other_shapes_rejected(self, shape):
+        # A 4-column row once read as a vertex row valued by its last column.
+        rows = np.array([1.0, 0.0, 0.0, 5.0])[:int(np.prod(shape))].reshape(shape)
+        d = build_grid(GridSpec(3, 3))
+        for resolve in (snap_to_vertices, sample_coords):
+            with pytest.raises(ValueError) as exc:
+                resolve(rows, d)
+            assert str(exc.value) == ("sample rows must have shape (n, 2) or (n, 3), "
+                                      f"got {shape}")
+
     def test_xy_without_grid_rejected(self):
         d = build_graph([(0, 1)], 2)
         rows = np.array([[0.0, 0.0, 1.0]])
